@@ -1,21 +1,21 @@
 """L1/L2/L4 norms of incomplete exponential sums over F_p.
 
-For a residue multiset {x_n mod p} put S(a) = sum_n e(2 pi i a x_n / p).
-norm_report evaluates S directly on the sparse support for every a and
-returns L1 = (1/p) sum |S|, L2sq = (1/p) sum |S|^2 and the additive energy
-T_p = (1/p) sum |S|^4 (an integer: the number of index quadruples with
-x_a + x_b = x_c + x_d).  Chain facts are enforced as postconditions, not
-just tests:
+For a residue multiset with counts c_r put S(a) = sum_r c_r e(a r / p).
+norm_report returns L1 = (1/p) sum |S|, L2sq = (1/p) sum |S|^2 and the
+additive energy T = (1/p) sum |S|^4.  Only L1 is computed in floats: the
+count vector is real, so |S(p - a)| = |S(a)|, and one real FFT gives every
+modulus, summed with exact-rounding compensated summation (math.fsum).
+L2sq = sum_r c_r^2 is the collision count (Parseval) and T = sum_s r(s)^2,
+with r(s) = sum_{x+y=s} c_x c_y, the number of index quadruples with
+x_a + x_b = x_c + x_d; both are exact integers, T tallied over the K^2
+pair sums of the K-residue support.  Chain facts are enforced as
+postconditions, not just tests:
 
     L1^2 <= L2sq               (Cauchy-Schwarz)
     L2sq <= L1^(2/3) T^(1/3)   (Hoelder)
     L2sq^2 <= T                (Cauchy-Schwarz)
     L1 >= L2sq^(3/2) / T^(1/2) (the lower-bound chain; equals
                                 (N^3/T)^(1/2) for multiplicity-1 sets)
-
-Sums are accumulated with exact-rounding compensated summation
-(math.fsum), and phases come from a precomputed table of e(2 pi i k / p)
-built conjugate-symmetric so |S(p - a)| = |S(a)| holds to the last bit.
 """
 
 import math
@@ -32,107 +32,102 @@ from .sumsets import ipow_floor
 P_GUARD = 1_000_000
 SIZE_GUARD = 100_000
 CHAIN_RTOL = 1e-6
+CHUNK = 4_000_000   # elements per temporary (pair-sum or gather) block
 
 
 @dataclass(frozen=True)
 class NormReport:
-    """Normalized norms of S over a full period.
-
-    energy is the integer quadruple count; energy_residual records how far
-    the floating accumulation landed from it before rounding.
-    """
+    """Normalized norms of S over a full period; energy is the integer T."""
 
     p: int
     size: int
     l1: float
     l2sq: float
     energy: int
-    energy_residual: float
     karatsuba_lb: float
 
 
-def _phase_table(p: int) -> np.ndarray:
-    tab = np.exp((2j * np.pi / p) * np.arange(p))
-    half = (p - 1) // 2
-    if half >= 1:
-        tab[p - half :] = np.conj(tab[1 : half + 1][::-1])
-    return tab
-
-
-def _abs_spectrum(ms: ResidueMultiset, full_scan: bool = False) -> np.ndarray:
-    """|S(a)| for a = 0..p-1, chunked so the index table stays small.
-
-    By default only a <= p/2 is evaluated and the rest mirrored through
-    |S(p - a)| = |S(a)| (exact for the symmetric phase table); full_scan
-    evaluates every a independently and serves as the cross-check path.
-    """
+def _l1_rfft(ms: ResidueMultiset) -> float:
+    """(1/p) sum_a |S(a)| from the half-spectrum of the real count vector:
+    a and p - a share one modulus, and a = p/2 (p = 2 only) has no partner."""
     p = ms.p
-    support = np.array(sorted(ms.counts), dtype=np.int64)
-    weights = np.array([ms.counts[int(r)] for r in support], dtype=np.float64)
-    tab = _phase_table(p)
-    out = np.empty(p, dtype=np.float64)
-    top = p if full_scan else p // 2 + 1
-    step = max(1, 4_000_000 // len(support))
-    for lo in range(0, top, step):
-        a = np.arange(lo, min(lo + step, top), dtype=np.int64)
-        idx = (a[:, None] * support[None, :]) % p
-        out[lo : lo + len(a)] = np.abs(tab[idx] @ weights)
-    if not full_scan:
-        half = (p - 1) // 2
-        if half >= 1:
-            out[p - half :] = out[1 : half + 1][::-1]
-    return out
+    counts = np.bincount(list(ms.counts), weights=list(ms.counts.values()),
+                         minlength=p)
+    mod = np.abs(np.fft.rfft(counts)).tolist()
+    total = mod[0] + 2 * math.fsum(mod[1 : (p + 1) // 2])
+    return (total + mod[-1] if p % 2 == 0 else total) / p
 
 
-def _check_chain(l1: float, l2sq: float, raw_energy: float, kara: float,
+def _pair_sum_energy(ms: ResidueMultiset) -> int:
+    """T = sum_s r(s)^2, tallying the K^2 pair sums of the support in row
+    blocks.  r(s) <= size^2 is exact in int64 for any block that fits in
+    memory; r(s)^2 need not be, so the squares are summed as Python ints."""
+    p = ms.p
+    support = np.fromiter(ms.counts, dtype=np.int64)
+    weights = np.fromiter(ms.counts.values(), dtype=np.int64)
+    sums = r = np.empty(0, dtype=np.int64)
+    step = max(1, CHUNK // len(support))
+    for i in range(0, len(support), step):
+        block = (support[i : i + step, None] + support) % p
+        sums = np.concatenate([sums, block.ravel()])
+        r = np.concatenate([r, np.outer(weights[i : i + step], weights).ravel()])
+        order = np.argsort(sums)
+        starts = np.flatnonzero(np.diff(sums[order], prepend=-1))
+        sums, r = sums[order][starts], np.add.reduceat(r[order], starts)
+    return sum(v * v for v in r.tolist())
+
+
+def _check_chain(l1: float, l2sq: float, energy: int, kara: float,
                  p: int) -> None:
     checks = (
         (l1 * l1 <= l2sq * (1 + CHAIN_RTOL), "L1^2 <= L2sq"),
-        (l2sq <= (l1 ** (2 / 3)) * (raw_energy ** (1 / 3)) * (1 + CHAIN_RTOL),
+        (l2sq <= (l1 ** (2 / 3)) * (energy ** (1 / 3)) * (1 + CHAIN_RTOL),
          "L2sq <= L1^(2/3) T^(1/3)"),
-        (l2sq * l2sq <= raw_energy * (1 + CHAIN_RTOL), "L2sq^2 <= T"),
+        (l2sq * l2sq <= energy * (1 + CHAIN_RTOL), "L2sq^2 <= T"),
         (l1 >= kara * (1 - CHAIN_RTOL), "L1 >= lower bound"),
     )
     for ok, name in checks:
         if not ok:
             raise InvariantError(
                 f"chain inequality {name} failed at p={p}: "
-                f"l1={l1!r} l2sq={l2sq!r} T={raw_energy!r}")
+                f"l1={l1!r} l2sq={l2sq!r} T={energy!r}")
 
 
 def norm_report(ms: ResidueMultiset, p_guard: int = P_GUARD) -> NormReport:
-    """Evaluate S on its sparse support for every a and report the norms."""
+    """L1 from one real FFT; L2sq and the energy as exact integer counts."""
     if ms.total < 1:
         raise ConfigError("empty multiset")
     if ms.p > p_guard:
         raise GuardError(f"p = {ms.p} exceeds the guard {p_guard}")
     p = ms.p
-    absS = _abs_spectrum(ms)
-    vals = absS.tolist()
-    l1 = math.fsum(vals) / p
-    sq = [v * v for v in vals]
-    l2sq = math.fsum(sq) / p
-    raw = math.fsum(v * v for v in sq) / p
-    energy = round(raw)
+    l1 = _l1_rfft(ms)
+    l2sq = float(collision_stats(ms).collisions)
+    energy = _pair_sum_energy(ms)
     if all(c == 1 for c in ms.counts.values()):
         kara = math.sqrt(ms.total**3 / energy)
     else:
         kara = l2sq**1.5 / math.sqrt(energy)
-    _check_chain(l1, l2sq, raw, kara, p)
+    _check_chain(l1, l2sq, energy, kara, p)
     return NormReport(p=p, size=ms.total, l1=l1, l2sq=l2sq, energy=energy,
-                      energy_residual=abs(raw - energy), karatsuba_lb=kara)
+                      karatsuba_lb=kara)
 
 
 def l1_full_scan(ms: ResidueMultiset, p_guard: int = P_GUARD) -> float:
-    """L1 with S evaluated at every a independently (no symmetry shortcut).
-
-    Cross-check for the mirrored production path in norm_report.
-    """
+    """L1 by a direct DFT at every a: the oracle for norm_report's FFT."""
     if ms.total < 1:
         raise ConfigError("empty multiset")
     if ms.p > p_guard:
         raise GuardError(f"p = {ms.p} exceeds the guard {p_guard}")
-    return math.fsum(_abs_spectrum(ms, full_scan=True).tolist()) / ms.p
+    p = ms.p
+    support = np.fromiter(ms.counts, dtype=np.int64)
+    weights = np.fromiter(ms.counts.values(), dtype=np.float64)
+    phases = np.exp((2j * np.pi / p) * np.arange(p))
+    out = np.empty(p, dtype=np.float64)
+    step = max(1, CHUNK // len(support))
+    for lo in range(0, p, step):
+        a = np.arange(lo, min(lo + step, p), dtype=np.int64)
+        out[lo : lo + len(a)] = np.abs(phases[np.outer(a, support) % p] @ weights)
+    return math.fsum(out.tolist()) / p
 
 
 def additive_energy_direct(ms: ResidueMultiset,
@@ -146,7 +141,7 @@ def additive_energy_direct(ms: ResidueMultiset,
     res = np.array(sorted(ms.counts), dtype=np.int64)
     cnt = np.array([ms.counts[int(r)] for r in res], dtype=np.float64)
     conv = np.zeros(p, dtype=np.float64)
-    step = max(1, 4_000_000 // len(res))
+    step = max(1, CHUNK // len(res))
     for i in range(0, len(res), step):
         sums = (res[i : i + step, None] + res[None, :]) % p
         w = cnt[i : i + step, None] * cnt[None, :]
@@ -222,7 +217,10 @@ def littlewood_pow(p: int, base: int, length: int,
             f"energy {report.energy} above the trivial cap N^3*mult at p={p}")
     exponent = (math.log(report.energy) / math.log(length)
                 if length > 1 else None)
-    assert stats.distinct == length  # n <= N < sqrt(p) < ord(g) forces distinctness
+    if stats.distinct != length:    # n <= N < sqrt(p) < ord(g) forces distinctness
+        raise InvariantError(
+            f"{stats.distinct} distinct residues among {length} powers of "
+            f"{base} at p={p}")
     return PowLittlewood(p=p, base=base, length=length, report=report,
                          ratio=report.l1 / length ** (1 / 48),
                          energy_exponent=exponent)

@@ -58,11 +58,10 @@ class ResidueSet:
         return (self.bits >> (x % self.p)) & 1 == 1
 
     def __iter__(self):
-        bits = self.bits
-        while bits:
-            low = bits & -bits
-            yield low.bit_length() - 1
-            bits ^= low
+        """The members in ascending order, as Python ints."""
+        raw = np.frombuffer(self.bits.to_bytes((self.p + 7) // 8, "little"),
+                            dtype=np.uint8)
+        return iter(np.flatnonzero(np.unpackbits(raw, bitorder="little")).tolist())
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, ResidueSet)

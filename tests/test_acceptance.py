@@ -114,7 +114,6 @@ def test_c03_parseval_energy_oracles():
     rng = random.Random(20260815)
     primes = [p for p in sieve_primes(2000) if p > 2]
     worst_rel = 0.0
-    worst_residual = 0.0
     for _ in range(100):
         p = rng.choice(primes)
         support = rng.sample(range(p), rng.randint(1, min(p - 1, 40)))
@@ -126,12 +125,10 @@ def test_c03_parseval_energy_oracles():
         worst_rel = max(worst_rel, rel)
         assert rel <= 1e-6
         assert rep.energy == additive_energy_direct(ms)
-        worst_residual = max(worst_residual, rep.energy_residual)
-        assert rep.energy_residual <= 1e-3
     el = time.time() - t0
     assert el < 60.0
     print(f"\nC3 PASS: 100 multisets, worst L2 rel err {worst_rel:.2e}, "
-          f"worst energy residual {worst_residual:.2e}, {el:.2f}s")
+          f"{el:.2f}s")
 
 
 def test_c04_glibichuk_exhaustive():

@@ -1,14 +1,18 @@
 """Exponential sum norms: L1, Parseval, additive energy, Littlewood ratios."""
 
 import cmath
+import dataclasses
 import math
 import random
 
 import pytest
+from hypothesis import example, given, strategies as st
 
+import sparsemod.expsums as expsums
 from sparsemod import (
     ConfigError,
     GuardError,
+    InvariantError,
     ResidueMultiset,
     SequenceSpec,
     additive_energy_direct,
@@ -45,6 +49,16 @@ def brute_energy(ms):
     return total
 
 
+@st.composite
+def small_multisets(draw, max_support=20):
+    """Random count maps over Z/pZ for a prime p below 400."""
+    p = draw(st.sampled_from(sieve_primes(400)))
+    support = draw(st.sets(st.integers(0, p - 1), min_size=1,
+                           max_size=min(p, max_support)))
+    return ResidueMultiset.from_counts(
+        p, {r: draw(st.integers(1, 6)) for r in sorted(support)})
+
+
 class TestNormReport:
     def test_point_masses(self):
         rep = norm_report(ResidueMultiset.from_counts(7, {1: 3}))
@@ -77,7 +91,7 @@ class TestNormReport:
             ms = ResidueMultiset.from_spec(spec, p)
             rep = norm_report(ms)
             st = collision_stats(ms)
-            assert rep.l2sq == pytest.approx(st.collisions, rel=1e-9)
+            assert rep.l2sq == st.collisions
 
     def test_energy_against_convolution_and_brute(self):
         rng = random.Random(1618)
@@ -89,7 +103,6 @@ class TestNormReport:
             rep = norm_report(ms)
             direct = additive_energy_direct(ms)
             assert rep.energy == direct == brute_energy(ms)
-            assert rep.energy_residual <= 1e-6
 
     def test_full_scan_equals_mirrored_path(self):
         rng = random.Random(55555)
@@ -112,6 +125,21 @@ class TestNormReport:
             assert r.l1 * r.l1 <= r.l2sq * (1 + 1e-6)
             assert r.l2sq**2 <= r.energy * (1 + 1e-6)
             assert r.l1 >= r.karatsuba_lb * (1 - 1e-6)
+
+    @given(small_multisets())
+    @example(ResidueMultiset.from_counts(2, {0: 1}))
+    @example(ResidueMultiset.from_counts(2, {1: 3}))
+    @example(ResidueMultiset.from_counts(2, {0: 2, 1: 5}))
+    @example(ResidueMultiset.from_counts(3, {2: 1}))
+    @example(ResidueMultiset.from_counts(3, {0: 4, 1: 1, 2: 2}))
+    def test_rfft_l1_against_full_scan(self, ms):
+        assert norm_report(ms).l1 == pytest.approx(l1_full_scan(ms), rel=1e-12)
+
+    @given(small_multisets(max_support=8))
+    @example(ResidueMultiset.from_counts(2, {0: 2, 1: 5}))
+    @example(ResidueMultiset.from_counts(3, {0: 4, 1: 1, 2: 2}))
+    def test_pair_sum_energy_against_oracles(self, ms):
+        assert norm_report(ms).energy == additive_energy_direct(ms) == brute_energy(ms)
 
     def test_energy_guard(self):
         big = ResidueMultiset.from_counts(3, {0: 1, 1: 1, 2: 1})
@@ -166,6 +194,15 @@ class TestLittlewoodPow:
         lp = littlewood_pow(101, 2, 1)
         assert lp.report.l1 == pytest.approx(1.0)
         assert lp.energy_exponent is None
+
+    def test_distinctness_fails_closed(self, monkeypatch):
+        """The distinctness postcondition raises, so python -O keeps it."""
+        real = expsums.collision_stats
+        monkeypatch.setattr(
+            expsums, "collision_stats",
+            lambda ms: dataclasses.replace(real(ms), distinct=real(ms).distinct - 1))
+        with pytest.raises(InvariantError, match="distinct"):
+            littlewood_pow(101, 2, 10)
 
     def test_rejects_non_primitive_base(self):
         with pytest.raises(ConfigError):

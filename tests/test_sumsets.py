@@ -40,6 +40,18 @@ class TestResidueSet:
         assert ResidueSet.full(5).missing_residue() is None
         assert ResidueSet.from_iterable(5, [0, 1, 3, 4]).missing_residue() == 2
 
+    def test_iter_matches_membership(self):
+        """Iteration yields the members as ascending Python ints."""
+        rng = random.Random(4242)
+        cases = [ResidueSet(2, 0b10), ResidueSet(2, 0b11), ResidueSet(13),
+                 ResidueSet.full(13), ResidueSet.full(16), ResidueSet(61, 1 << 60)]
+        for p in (2, 3, 7, 8, 13, 64, 97, 1009):
+            cases += [ResidueSet(p, rng.getrandbits(p)) for _ in range(5)]
+        for s in cases:
+            got = list(s)
+            assert got == [x for x in range(s.p) if x in s]
+            assert all(type(x) is int for x in got)
+
     def test_rotate_is_translation(self):
         rng = random.Random(31)
         for _ in range(100):

@@ -93,6 +93,18 @@ class TestRunSurvey:
         assert agg["l1_ratio_min"] == pytest.approx(min(ratios))
         assert agg["l1_ratio_max"] == pytest.approx(max(ratios))
 
+    def test_l2sq_is_exact_collision_count(self):
+        """At p = 3 the 19-term survey block has 129 collisions; the float
+        spectrum used to report 128.99999999999997."""
+        spec = SequenceSpec.fibonacci(1, 19)
+        rep = run_survey(SurveyConfig(nmax=5, sequence=spec))
+        for row in rep.rows:
+            ms = ResidueMultiset.from_spec(spec, row.p)
+            assert row.l2sq == collision_stats(ms).collisions
+        row = next(r for r in rep.rows if r.p == 3)
+        assert row.l2sq == 129
+        assert ",129.0," in survey_csv(rep)
+
     def test_status_column(self):
         rep = run_survey(SurveyConfig(nmax=50))
         by_p = {r.p: r for r in rep.rows}
