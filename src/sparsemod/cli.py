@@ -69,7 +69,6 @@ def _build_parser() -> _Parser:
     sv = sub.add_parser("survey", help="per-prime survey over p <= N")
     sv.add_argument("--nmax", type=int, required=True)
     sv.add_argument("--gamma", type=float, default=0.3)
-    sv.add_argument("--epsilon", type=float, default=0.25)
     sv.add_argument("--delta-exp", type=float, default=0.4)
     sv.add_argument("--threads", type=int, default=1)
     sv.add_argument("--vs-delta", type=float, default=10.0)
@@ -115,8 +114,7 @@ def _build_parser() -> _Parser:
 
 def _cmd_survey(args) -> int:
     seq = parse_sequence_spec(args.sequence) if args.sequence else None
-    config = SurveyConfig(nmax=args.nmax, gamma=args.gamma,
-                          epsilon=args.epsilon, delta_exponent=args.delta_exp,
+    config = SurveyConfig(nmax=args.nmax, gamma=args.gamma, delta_exponent=args.delta_exp,
                           vs_delta=args.vs_delta, s_max=args.smax,
                           workers=args.threads, sequence=seq)
     report = run_survey(config)
@@ -126,6 +124,10 @@ def _cmd_survey(args) -> int:
     for key in ("value_set_fraction", "waring16_fraction", "chain_fraction",
                 "l1_ratio_min", "l1_ratio_max"):
         print(f"  {key} = {agg[key]}")
+    bad = [r.p for r in report.rows if r.status.startswith("invariant:")]
+    if bad:
+        print(f"invariant failed at {len(bad)} prime(s), first p={bad[0]}", file=sys.stderr)
+        return 3
     if config.nmax >= 10**4 and not agg["headline_ok"]:
         print("headline fractions below threshold "
               f"{config.pass_threshold}", file=sys.stderr)

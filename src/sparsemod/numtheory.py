@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, InvariantError
 
 INDEX_CAP = 1 << 62
 MODULUS_CAP = 1 << 62
@@ -215,7 +215,7 @@ def order_of_appearance(p: int) -> int:
     for d in divisors(bound):
         if fib_mod(d, p) == 0:
             return d
-    raise AssertionError(f"no divisor of {bound} annihilates F mod {p}")
+    raise InvariantError(f"no divisor of {bound} annihilates F mod {p}")
 
 
 def order_of_appearance_scan(m: int) -> int:
@@ -247,11 +247,7 @@ def least_primitive_root(p: int) -> int:
         raise ConfigError(f"least_primitive_root requires a prime, got {p}")
     if p == 2:
         return 1
-    facs = prime_factors(p - 1)
-    for g in range(2, p):
-        if all(pow(g, (p - 1) // q, p) != 1 for q in facs):
-            return g
-    raise AssertionError(f"no primitive root below {p}")
+    return next(g for g in range(2, p) if is_primitive_root(g, p))
 
 
 @dataclass(frozen=True)

@@ -21,12 +21,14 @@ supplies the solvability bound behind the eps variant:
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from typing import Iterable, Optional, Union
 
 import numpy as np
 
 from .errors import ConfigError, ConstructionError, GuardError, InvariantError
-from .numtheory import fib_mod, fib_pair_mod, lucas_mod
+from .numtheory import fib_mod
+from .valueset import SequenceSpec
 
 
 class ResidueSet:
@@ -42,10 +44,12 @@ class ResidueSet:
 
     @classmethod
     def from_iterable(cls, p: int, xs: Iterable[int]) -> "ResidueSet":
-        bits = 0
+        # one byte write per member; OR-ing 1 << x into an int costs O(p)
+        buf = bytearray((p + 7) // 8)
         for x in xs:
-            bits |= 1 << (x % p)
-        return cls(p, bits)
+            x %= p
+            buf[x >> 3] |= 1 << (x & 7)
+        return cls(p, int.from_bytes(buf, "little"))
 
     @classmethod
     def full(cls, p: int) -> "ResidueSet":
@@ -82,13 +86,7 @@ class ResidueSet:
 
     def rotate(self, v: int) -> "ResidueSet":
         """The translate {x + v : x in self} (cyclic bit rotation)."""
-        return ResidueSet(self.p, _rotate(self.bits, v % self.p, self.p))
-
-
-def _rotate(bits: int, v: int, p: int) -> int:
-    if v == 0:
-        return bits
-    return ((bits << v) | (bits >> (p - v))) & ((1 << p) - 1)
+        return ResidueSet(self.p, _fold_once(self.bits, [v % self.p], self.p))
 
 
 def _fold_once(bits: int, gens: list[int], p: int) -> int:
@@ -101,10 +99,7 @@ def _fold_once(bits: int, gens: list[int], p: int) -> int:
 
 def _sumset_layers(gens: list[int], p: int, k: int) -> list[int]:
     """Bit masks of the j-fold sumsets of gens for j = 1..k."""
-    base = 0
-    for v in gens:
-        base |= 1 << v
-    layers = [base]
+    layers = [ResidueSet.from_iterable(p, gens).bits]
     for _ in range(k - 1):
         layers.append(_fold_once(layers[-1], gens, p))
     return layers
@@ -135,12 +130,14 @@ class CoverResult:
 
     coverage_sizes[j-1] = |j-fold sumset| up to the first full fold (or
     s_max); s_min is the first fold reaching all of F_p, None if not
-    reached within the budget.
+    reached within the budget, and missing_residue the smallest residue
+    outside the last fold computed (None when covered).
     """
 
     p: int
     s_min: Optional[int]
     coverage_sizes: tuple[int, ...]
+    missing_residue: Optional[int]
 
     @property
     def covered(self) -> bool:
@@ -178,7 +175,8 @@ def k_fold_sumset(v: ResidueSet, k: int) -> CoverResult:
         s = _fold_once(s, gens, p)
         sizes.append(s.bit_count())
     return CoverResult(p=p, s_min=len(sizes) if s == mask else None,
-                       coverage_sizes=tuple(sizes))
+                       coverage_sizes=tuple(sizes),
+                       missing_residue=ResidueSet(p, s).missing_residue())
 
 
 @dataclass(frozen=True)
@@ -198,17 +196,9 @@ def glibichuk_check(a: ResidueSet, b: ResidueSet) -> GlibichukResult:
     """
     prod = product_set(a, b)
     cover = k_fold_sumset(prod, 8)
-    if cover.covered:
-        missing = None
-    else:
-        gens = list(prod)
-        eight = prod.bits
-        for _ in range(7):
-            eight = _fold_once(eight, gens, prod.p)
-        missing = ResidueSet(prod.p, eight).missing_residue()
     return GlibichukResult(
         passed=cover.covered,
-        missing_residue=missing,
+        missing_residue=cover.missing_residue,
         product_size=len(prod),
         precondition_met=len(a) * len(b) > 2 * a.p,
         cover=cover,
@@ -219,12 +209,7 @@ def fib_residue_set(p: int, max_index: int) -> ResidueSet:
     """{F_n mod p : 1 <= n <= max_index}."""
     if max_index < 1:
         raise ConfigError("max_index must be >= 1")
-    bits = 0
-    a, b = 1 % p, 1 % p
-    for _ in range(max_index):
-        bits |= 1 << a
-        a, b = b, (a + b) % p
-    return ResidueSet(p, bits)
+    return ResidueSet.from_iterable(p, SequenceSpec.fibonacci(1, max_index).residues(p))
 
 
 def waring_fib_direct(p: int, max_index: int, s_max: int = 16) -> CoverResult:
@@ -246,25 +231,12 @@ class WaringRepresentation:
     l_size: int                              # |{L_{2m} mod p}| over the window
 
 
-def _even_fib_window(p: int, lo: int, hi: int) -> dict[int, int]:
-    """residue -> smallest n with F_{2n} = residue, for lo < n <= hi."""
+def _first_index(residues: Iterable[int], start: int) -> dict[int, int]:
+    """residue -> index of its first occurrence, the first term being
+    index start.  Insertion order is ascending index."""
     wit: dict[int, int] = {}
-    if lo + 1 > hi:
-        return wit
-    a, b = fib_pair_mod(2 * (lo + 1), p)
-    for n in range(lo + 1, hi + 1):
-        wit.setdefault(a, n)
-        a, b = (a + b) % p, (a + 2 * b) % p
-    return wit
-
-
-def _even_lucas_window(p: int, hi: int) -> dict[int, int]:
-    """residue -> smallest m with L_{2m} = residue, for 1 <= m <= hi."""
-    wit: dict[int, int] = {}
-    a, b = lucas_mod(2, p), lucas_mod(3, p)
-    for m in range(1, hi + 1):
-        wit.setdefault(a, m)
-        a, b = (a + b) % p, (a + 2 * b) % p
+    for i, r in enumerate(residues, start):
+        wit.setdefault(r, i)
     return wit
 
 
@@ -288,8 +260,10 @@ def waring_constructive(p: int, nmax: int, delta: float, lam: int) -> WaringRepr
     if n_lo + 1 > n_hi or m_hi < 1:
         raise ConstructionError(
             f"empty index window (delta={delta}, N={nmax})")
-    f_wit = _even_fib_window(p, n_lo, n_hi)
-    l_wit = _even_lucas_window(p, m_hi)
+    f_wit = _first_index(SequenceSpec.fibonacci_even(n_lo + 1, n_hi).residues(p), n_lo + 1)
+    # L_{2m} for 1 <= m <= m_hi: every other term of L_2..L_{2 m_hi}
+    even_lucas = islice(SequenceSpec.lucas(2, 2 * m_hi).residues(p), 0, None, 2)
+    l_wit = _first_index(even_lucas, 1)
     if len(f_wit) * len(l_wit) <= 2 * p:
         raise ConstructionError(
             f"|F||L| = {len(f_wit)}*{len(l_wit)} <= 2p = {2 * p}: "
@@ -298,10 +272,8 @@ def waring_constructive(p: int, nmax: int, delta: float, lam: int) -> WaringRepr
     # Product residues with (n, m) witnesses; prefer n > m so that both
     # Fibonacci indices in the rewrite are nonnegative.
     prod_wit: dict[int, tuple[int, int]] = {}
-    f_items = sorted(f_wit.items(), key=lambda t: t[1])
-    l_items = sorted(l_wit.items(), key=lambda t: t[1])
-    for fr, n in f_items:
-        for lr, m in l_items:
+    for fr, n in f_wit.items():
+        for lr, m in l_wit.items():
             r = fr * lr % p
             cur = prod_wit.get(r)
             if cur is None or (cur[0] < cur[1] and n >= m):
@@ -494,18 +466,17 @@ def waring_eps_verify(p: int, nmax: int, eps: Union[float, str, Fraction],
         raise ConstructionError(
             f"Lucas window ({m_lo}, {m_hi}] cannot clear 2*N^(1/(k+2)) = {2 * b_cap}")
 
-    w_x = [fib_mod(2 * n - 1, p) for n in range(1, b_cap + 1)]
-    w_z = [fib_mod(2 * l, p) for l in range(1, b_cap + 1)]
-    gens_x = sorted(set(w_x))
-    gens_z = sorted(set(w_z))
+    # First witness index for each generator residue: F_{2n-1} (every other
+    # term of F_1..F_{2 b_cap}) and F_{2l} for n, l <= b_cap, and L_m over
+    # the Lucas window.
+    odd_fib = islice(SequenceSpec.fibonacci(1, 2 * b_cap).residues(p), 0, None, 2)
+    x_idx = _first_index(odd_fib, 1)
+    z_idx = _first_index(SequenceSpec.fibonacci_even(1, b_cap).residues(p), 1)
+    y_wit = _first_index(SequenceSpec.lucas(m_start, m_hi).residues(p), m_start)
+    gens_x = sorted(x_idx)
+    gens_z = sorted(z_idx)
     layers_x = _sumset_layers(gens_x, p, k)
     layers_z = _sumset_layers(gens_z, p, k)
-
-    y_wit: dict[int, int] = {}
-    a, b = lucas_mod(m_start, p), lucas_mod(m_start + 1, p)
-    for m in range(m_start, m_hi + 1):
-        y_wit.setdefault(a, m)
-        a, b = b, (a + b) % p
 
     sx = layers_x[-1].bit_count()
     sy = len(y_wit)
@@ -515,24 +486,15 @@ def waring_eps_verify(p: int, nmax: int, eps: Union[float, str, Fraction],
             f"|X||Y||Z|^2 = {sx}*{sy}*{sz}^2 <= p^3 = {p**3}: "
             "solvability not guaranteed at these sizes")
 
-    # First witness index for each generator residue.
-    x_idx = {}
-    for n, r in enumerate(w_x, start=1):
-        x_idx.setdefault(r, n)
-    z_idx = {}
-    for l, r in enumerate(w_z, start=1):
-        z_idx.setdefault(r, l)
-
     pair_wit: dict[int, tuple[int, int]] = {}
-    z_res = [r for r in range(p) if (layers_z[-1] >> r) & 1]
+    z_res = list(ResidueSet(p, layers_z[-1]))
     for z1 in z_res:
         for z2 in z_res:
             pair_wit.setdefault((z1 + z2) % p, (z1, z2))
 
     target = lam % p
-    x_res = [r for r in range(p) if (layers_x[-1] >> r) & 1]
-    for m in sorted(y_wit.values()):
-        yv = lucas_mod(m, p)
+    x_res = list(ResidueSet(p, layers_x[-1]))
+    for yv, m in y_wit.items():   # ascending m
         for xv in x_res:
             rest = (target - xv * yv) % p
             hit = pair_wit.get(rest)

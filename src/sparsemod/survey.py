@@ -20,13 +20,12 @@ from multiprocessing import Pool
 from typing import Optional
 
 from .errors import ConfigError, GuardError, InvariantError
-from .numtheory import (legendre5, mult_order, order_of_appearance,
-                        sieve_primes)
+from .numtheory import mult_order, order_of_appearance, prime_record, sieve_primes
 from .valueset import ResidueMultiset, SequenceSpec, collision_stats
 from .sumsets import ipow_floor, waring_fib_direct
 from .expsums import norm_report
 
-SCHEMA = "sparsemod-survey-v1"
+SCHEMA = "sparsemod-survey-v2"
 
 CSV_COLUMNS = ("p", "t_p", "z_p", "legendre5", "waring_s_min",
                "waring_max_index", "l1", "l2sq", "energy", "l1_ratio",
@@ -44,7 +43,6 @@ def delta_of(nmax: int, rho: float) -> float:
 class SurveyConfig:
     nmax: int
     gamma: float = 0.3
-    epsilon: float = 0.25
     delta_exponent: float = 0.4   # rho in delta(N) = exp((log N)^rho)
     vs_delta: float = 10.0        # value-set deviation tolerance 1/vs_delta
     s_max: int = 16
@@ -57,8 +55,6 @@ class SurveyConfig:
             raise ConfigError("need nmax >= 2")
         if not 0 < self.gamma < 1 / 3:
             raise ConfigError("gamma must lie in (0, 1/3)")
-        if not 0 < self.epsilon <= 0.5:
-            raise ConfigError("epsilon must lie in (0, 1/2]")
         if self.delta_exponent <= 0 or self.delta_exponent >= 1:
             raise ConfigError("delta_exponent must lie in (0, 1)")
         if self.vs_delta <= 0:
@@ -106,9 +102,7 @@ class SurveyReport:
 
 def _survey_row(args: tuple[int, SequenceSpec, int, int]) -> SurveyRow:
     p, seq, max_index, s_max = args
-    t_p = None if p == 2 else mult_order(2, p)
-    z_p = order_of_appearance(p)
-    l5 = legendre5(p)
+    rec = prime_record(p)
     status = "ok" if p != 2 else "partial:t_p"
     cover = waring_fib_direct(p, max_index, s_max)
     l1 = l2sq = ratio = None
@@ -124,7 +118,7 @@ def _survey_row(args: tuple[int, SequenceSpec, int, int]) -> SurveyRow:
         status = f"guard:{exc}"
     except InvariantError as exc:
         status = f"invariant:{exc}"
-    return SurveyRow(p=p, t_p=t_p, z_p=z_p, legendre5=l5,
+    return SurveyRow(p=p, t_p=rec.t_p, z_p=rec.z_p, legendre5=rec.legendre5,
                      waring_s_min=cover.s_min, waring_max_index=max_index,
                      l1=l1, l2sq=l2sq, energy=energy, l1_ratio=ratio,
                      vs_size=vs_size, vs_distinct=vs_distinct, status=status)
@@ -137,6 +131,8 @@ def _aggregate(rows: tuple[SurveyRow, ...], config: SurveyConfig) -> dict:
     cut = Fraction(1) / Fraction(str(config.vs_delta))
     vs_ok = [Fraction(r.vs_size - r.vs_distinct, r.vs_size) <= cut
              for r in rows if r.vs_size]
+    # 16 is the paper's 16-term theorem that waring16_fraction names, not
+    # s_max: a larger s_max may cover more primes but never counts here.
     waring16 = [r.waring_s_min is not None and r.waring_s_min <= 16
                 for r in rows]
     chain_ok = [not r.status.startswith("invariant") for r in rows]

@@ -6,6 +6,7 @@ import pytest
 
 from sparsemod import (
     ConfigError,
+    InvariantError,
     fib_lucas_mod,
     fib_mod,
     is_prime,
@@ -236,6 +237,13 @@ class TestOrderOfAppearance:
             if p in (2, 5):
                 continue
             assert (p - legendre5(p)) % order_of_appearance(p) == 0, p
+
+    def test_no_zero_divisor_is_invariant_error(self, monkeypatch):
+        import sparsemod.numtheory as nt
+
+        monkeypatch.setattr(nt, "fib_mod", lambda n, m: 1)
+        with pytest.raises(InvariantError, match="annihilates"):
+            order_of_appearance(7)
 
 
 class TestPrimitiveRoots:

@@ -3,8 +3,10 @@
 import math
 import random
 from fractions import Fraction
+from itertools import islice
 
 import pytest
+from hypothesis import given, strategies as st
 
 from sparsemod import (
     ConfigError,
@@ -16,6 +18,7 @@ from sparsemod import (
     glibichuk_check,
     ipow_floor,
     k_fold_sumset,
+    lucas_mod,
     product_set,
     sieve_primes,
     ternary_count,
@@ -24,11 +27,20 @@ from sparsemod import (
     waring_eps_verify,
     waring_fib_direct,
 )
-from sparsemod.sumsets import fib_residue_set
+from sparsemod.sumsets import _first_index, fib_residue_set
 
 
 def brute_fold(base, prev, p):
     return {(a + b) % p for a in prev for b in base}
+
+
+def first_index_oracle(value, lo, hi):
+    """(residue, least i in lo..hi with value(i) = residue), ascending in i,
+    from one independent evaluation per index."""
+    wit = {}
+    for i in range(hi, lo - 1, -1):   # descending, so the least index wins
+        wit[value(i)] = i
+    return sorted(wit.items(), key=lambda t: t[1])
 
 
 class TestResidueSet:
@@ -126,6 +138,42 @@ class TestKFoldSumset:
     def test_rejects_empty(self):
         with pytest.raises(ConfigError):
             k_fold_sumset(ResidueSet(7, 0), 3)
+
+    def test_missing_residue_is_smallest_outside_last_fold(self):
+        rng = random.Random(2718)
+        seen = set()
+        for _ in range(120):
+            p = rng.choice([5, 7, 11, 19, 53, 97])
+            elems = rng.sample(range(p), rng.randint(1, min(p, 5)))
+            res = k_fold_sumset(ResidueSet.from_iterable(p, elems), rng.randint(1, 6))
+            last = set(elems)
+            for _ in range(len(res.coverage_sizes) - 1):
+                last = brute_fold(set(elems), last, p)
+            outside = sorted(set(range(p)) - last)
+            assert (res.missing_residue is None) == res.covered
+            assert res.missing_residue == (outside[0] if outside else None)
+            seen.add(res.covered)
+        assert seen == {True, False}
+
+
+class TestFirstIndex:
+    @given(st.sampled_from(sieve_primes(3000)), st.integers(1, 200), st.integers(0, 200))
+    def test_windows_match_per_index_evaluation(self, p, lo, width):
+        """The recurrence-stepped witness maps equal per-index fast doubling."""
+        hi = lo + width
+        even_fib = _first_index(SequenceSpec.fibonacci_even(lo, hi).residues(p), lo)
+        assert list(even_fib.items()) == first_index_oracle(
+            lambda n: fib_mod(2 * n, p), lo, hi)
+        even_lucas = islice(SequenceSpec.lucas(2, 2 * hi).residues(p), 0, None, 2)
+        assert list(_first_index(even_lucas, 1).items()) == first_index_oracle(
+            lambda m: lucas_mod(2 * m, p), 1, hi)
+        odd_fib = islice(SequenceSpec.fibonacci(1, 2 * hi).residues(p), 0, None, 2)
+        assert list(_first_index(odd_fib, 1).items()) == first_index_oracle(
+            lambda n: fib_mod(2 * n - 1, p), 1, hi)
+        lucas = _first_index(SequenceSpec.lucas(lo, hi).residues(p), lo)
+        assert list(lucas.items()) == first_index_oracle(lambda m: lucas_mod(m, p), lo, hi)
+        assert sorted(fib_residue_set(p, hi)) == sorted(
+            {fib_mod(n, p) for n in range(1, hi + 1)})
 
 
 class TestGlibichuk:

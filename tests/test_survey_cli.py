@@ -1,5 +1,6 @@
 """Survey rows and aggregates, report serialization, and the CLI contract."""
 
+import dataclasses
 import json
 import math
 import subprocess
@@ -9,6 +10,7 @@ import pytest
 
 from sparsemod import (
     ConfigError,
+    InvariantError,
     SequenceSpec,
     SurveyConfig,
     collision_stats,
@@ -25,7 +27,7 @@ from sparsemod import (
     write_report,
 )
 from sparsemod.cli import main, parse_sequence_spec
-from sparsemod.survey import CSV_COLUMNS, delta_of
+from sparsemod.survey import CSV_COLUMNS, _aggregate, delta_of
 from sparsemod.valueset import ResidueMultiset
 
 
@@ -112,13 +114,21 @@ class TestRunSurvey:
         assert by_p[2].t_p is None
         assert all(r.status == "ok" for r in rep.rows if r.p != 2)
 
+    def test_waring16_counts_the_16_term_theorem_not_s_max(self):
+        """waring16_fraction counts s_min <= 16 whatever s_max allows."""
+        rows = run_survey(SurveyConfig(nmax=5)).rows   # p = 2, 3, 5
+        rows = tuple(dataclasses.replace(r, waring_s_min=s)
+                     for r, s in zip(rows, (18, 16, None)))
+        agg = _aggregate(rows, SurveyConfig(nmax=5, s_max=20))
+        assert agg["waring16_fraction"] == 1 / 3
+
 
 class TestSerialization:
     def test_csv_shape(self):
         rep = run_survey(SurveyConfig(nmax=100))
         text = survey_csv(rep)
         lines = text.splitlines()
-        assert lines[0] == "# sparsemod-survey-v1"
+        assert lines[0] == "# sparsemod-survey-v2"
         assert lines[1] == ",".join(CSV_COLUMNS)
         assert len(lines) == 2 + len(rep.rows)
         assert text.endswith("\n")
@@ -126,9 +136,10 @@ class TestSerialization:
     def test_json_round_trip(self):
         rep = run_survey(SurveyConfig(nmax=100))
         payload = json.loads(survey_json(rep))
-        assert payload["schema"] == "sparsemod-survey-v1"
+        assert payload["schema"] == "sparsemod-survey-v2"
         assert len(payload["rows"]) == len(rep.rows)
         assert payload["config"]["nmax"] == 100
+        assert "epsilon" not in payload["config"]
         assert "workers" not in payload["config"]
         assert payload["aggregates"] == rep.aggregates
 
@@ -227,6 +238,38 @@ class TestCliExitCodes:
 
         monkeypatch.setitem(cli_mod._COMMANDS, "orders", boom)
         assert main(["orders", "--nmax", "100"]) == 3
+
+    def test_survey_invariant_row_exits_3_after_report(self, tmp_path, capsys,
+                                                       monkeypatch):
+        import sparsemod.survey as survey_mod
+        real = survey_mod.norm_report
+
+        def planted(ms):
+            if ms.p == 13:
+                raise InvariantError("planted")
+            return real(ms)
+
+        monkeypatch.setattr(survey_mod, "norm_report", planted)
+        out = tmp_path / "r.json"
+        code = main(["survey", "--nmax", "100", "--out", str(out), "--format", "json"])
+        assert code == 3
+        rows = {r["p"]: r for r in json.loads(out.read_text())["rows"]}
+        assert rows[13]["status"] == "invariant:planted"
+        assert sum(r["status"].startswith("invariant:") for r in rows.values()) == 1
+        assert "invariant failed" in capsys.readouterr().err
+
+    def test_orders_without_zero_divisor_exits_3(self, capsys, monkeypatch):
+        import sparsemod.numtheory as nt
+
+        monkeypatch.setattr(nt, "fib_mod", lambda n, m: 1)
+        assert main(["orders", "--nmax", "20"]) == 3
+        assert "annihilates" in capsys.readouterr().err
+
+    def test_survey_epsilon_flag_is_gone(self, tmp_path, capsys):
+        out = tmp_path / "r.json"
+        assert main(["survey", "--nmax", "100", "--epsilon", "0.25",
+                     "--out", str(out), "--format", "json"]) == 1
+        assert not out.exists()
 
     def test_jcount_oracle(self, capsys):
         code = main(["jcount", "--values", "list:1,2,3", "--nmax", "5",
