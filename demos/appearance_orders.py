@@ -4,7 +4,7 @@
 z(p) is the first Fibonacci index with p | F_z; the covering results
 upstream need z(p) (and the multiplicative order of 2) to beat p^(1/2)
 for most primes.  This script prints the exact fractions at several
-bounds and shows the divisor-search shortcut agreeing with a linear scan.
+bounds and shows factor stripping of p - (5|p) agreeing with a linear scan.
 """
 
 from sparsemod import (
@@ -32,7 +32,7 @@ def main():
         print(f"  p = {p}: z = {order_of_appearance(p)} divides "
               f"p - ({eps:+d}) = {p - eps}")
 
-    print("\n== shortcut vs scan, p <= 2000 ==")
+    print("\n== factor stripping vs scan, p <= 2000 ==")
     mism = sum(1 for p in sieve_primes(2000)
                if order_of_appearance(p) != order_of_appearance_scan(p))
     print(f"  mismatches: {mism}")

@@ -93,12 +93,12 @@ def _check_chain(l1: float, l2sq: float, energy: int, kara: float,
                 f"l1={l1!r} l2sq={l2sq!r} T={energy!r}")
 
 
-def norm_report(ms: ResidueMultiset, p_guard: int = P_GUARD) -> NormReport:
+def norm_report(ms: ResidueMultiset) -> NormReport:
     """L1 from one real FFT; L2sq and the energy as exact integer counts."""
     if ms.total < 1:
         raise ConfigError("empty multiset")
-    if ms.p > p_guard:
-        raise GuardError(f"p = {ms.p} exceeds the guard {p_guard}")
+    if ms.p > P_GUARD:
+        raise GuardError(f"p = {ms.p} exceeds the guard {P_GUARD}")
     p = ms.p
     l1 = _l1_rfft(ms)
     l2sq = float(collision_stats(ms).collisions)
@@ -112,12 +112,12 @@ def norm_report(ms: ResidueMultiset, p_guard: int = P_GUARD) -> NormReport:
                       karatsuba_lb=kara)
 
 
-def l1_full_scan(ms: ResidueMultiset, p_guard: int = P_GUARD) -> float:
+def l1_full_scan(ms: ResidueMultiset) -> float:
     """L1 by a direct DFT at every a: the oracle for norm_report's FFT."""
     if ms.total < 1:
         raise ConfigError("empty multiset")
-    if ms.p > p_guard:
-        raise GuardError(f"p = {ms.p} exceeds the guard {p_guard}")
+    if ms.p > P_GUARD:
+        raise GuardError(f"p = {ms.p} exceeds the guard {P_GUARD}")
     p = ms.p
     support = np.fromiter(ms.counts, dtype=np.int64)
     weights = np.fromiter(ms.counts.values(), dtype=np.float64)
@@ -130,13 +130,12 @@ def l1_full_scan(ms: ResidueMultiset, p_guard: int = P_GUARD) -> float:
     return math.fsum(out.tolist()) / p
 
 
-def additive_energy_direct(ms: ResidueMultiset,
-                           size_guard: int = SIZE_GUARD) -> int:
+def additive_energy_direct(ms: ResidueMultiset) -> int:
     """Exact quadruple count by tabulating pairwise-sum multiplicities."""
     if ms.total < 1:
         raise ConfigError("empty multiset")
-    if ms.total > size_guard:
-        raise GuardError(f"size {ms.total} exceeds the guard {size_guard}")
+    if ms.total > SIZE_GUARD:
+        raise GuardError(f"size {ms.total} exceeds the guard {SIZE_GUARD}")
     p = ms.p
     res = np.array(sorted(ms.counts), dtype=np.int64)
     cnt = np.array([ms.counts[int(r)] for r in res], dtype=np.float64)
@@ -164,8 +163,7 @@ class FibLittlewood:
     ratio: float
 
 
-def littlewood_fib(p: int, nmax: int, gamma: float,
-                   p_guard: int = P_GUARD) -> FibLittlewood:
+def littlewood_fib(p: int, nmax: int, gamma: float) -> FibLittlewood:
     if not is_prime(p):
         raise ConfigError(f"p must be prime, got {p}")
     if p > nmax:
@@ -175,7 +173,7 @@ def littlewood_fib(p: int, nmax: int, gamma: float,
         raise ConfigError(f"gamma must lie in (0, 1/3), got {gamma}")
     seq_len = ipow_floor(nmax, g)
     ms = ResidueMultiset.from_spec(SequenceSpec.fibonacci(1, seq_len), p)
-    report = norm_report(ms, p_guard=p_guard)
+    report = norm_report(ms)
     # Diagonal solutions alone force the block length below L2sq.
     if report.l2sq < seq_len * (1 - CHAIN_RTOL):
         raise InvariantError(
@@ -200,8 +198,7 @@ class PowLittlewood:
     energy_exponent: float | None
 
 
-def littlewood_pow(p: int, base: int, length: int,
-                   p_guard: int = P_GUARD) -> PowLittlewood:
+def littlewood_pow(p: int, base: int, length: int) -> PowLittlewood:
     if not is_prime(p):
         raise ConfigError(f"p must be prime, got {p}")
     if not is_primitive_root(base, p):
@@ -209,7 +206,7 @@ def littlewood_pow(p: int, base: int, length: int,
     if length < 1 or length * length >= p:
         raise ConfigError("need 1 <= N < sqrt(p)")
     ms = ResidueMultiset.from_spec(SequenceSpec.power(base, 1, length), p)
-    report = norm_report(ms, p_guard=p_guard)
+    report = norm_report(ms)
     stats = collision_stats(ms)
     max_mult = max(ms.counts.values())
     if report.energy > length**3 * max_mult:

@@ -10,13 +10,14 @@ Conventions
 F_1 = F_2 = 1 and L_1 = 1, L_2 = 3; both sequences are extended to index 0
 by the recurrence (F_0 = 0, L_0 = 2).  Indices and moduli are validated
 against a 2^62 operating range; this module targets desk scale and general
-integer factorization is deliberately out of scope (divisor searches rely
-on trial division).
+integer factorization is deliberately out of scope: both orders are found
+by factor stripping of a known multiple (p - 1 for ord_p(a), p - (5|p) for
+z(p)), whose prime factors come from trial division.
 """
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -133,19 +134,16 @@ def prime_factors(n: int) -> list[int]:
     return out
 
 
-def divisors(n: int) -> list[int]:
-    """All positive divisors of n >= 1, ascending."""
-    if n < 1:
-        raise ConfigError("divisors expects n >= 1")
-    small, large = [], []
-    q = 1
-    while q * q <= n:
-        if n % q == 0:
-            small.append(q)
-            if q * q != n:
-                large.append(n // q)
-        q += 1
-    return small + large[::-1]
+def _strip_factors(bound: int, holds: Callable[[int], bool]) -> int:
+    """Least divisor d of bound with holds(d), where holds(bound) is true
+    and the divisors passing the test are exactly the multiples of d (as
+    for "a^d = 1" or "p | F_d"): strip each prime factor of bound while
+    the quotient still passes."""
+    d = bound
+    for q in prime_factors(bound):
+        while d % q == 0 and holds(d // q):
+            d //= q
+    return d
 
 
 def legendre(a: int, p: int) -> int:
@@ -172,18 +170,13 @@ def legendre5(p: int) -> int:
 def mult_order(a: int, p: int) -> int:
     """Multiplicative order of a modulo the prime p; requires gcd(a, p) = 1.
 
-    The order divides p - 1, so start there and strip prime factors while
-    the power stays 1.
+    The order divides p - 1; factor stripping finds it.
     """
     if not is_prime(p):
         raise ConfigError(f"mult_order requires a prime modulus, got {p}")
     if a % p == 0:
         raise ConfigError(f"{a} is not invertible mod {p}")
-    t = p - 1
-    for q in prime_factors(p - 1):
-        while t % q == 0 and pow(a, t // q, p) == 1:
-            t //= q
-    return t
+    return _strip_factors(p - 1, lambda t: pow(a, t, p) == 1)
 
 
 def mult_order_scan(a: int, p: int) -> int:
@@ -201,21 +194,16 @@ def mult_order_scan(a: int, p: int) -> int:
 def order_of_appearance(p: int) -> int:
     """Rank of apparition z(p): least l >= 1 with F_l = 0 mod p.
 
-    For a prime p, z(p) divides p - (5|p); the answer is the smallest
-    divisor d of that bound with F_d = 0 mod p.  p = 2 and p = 5 are the
-    classical special cases (z = 3 and z = 5).
+    z(p) divides p - (5|p) (3 at p = 2, 5 at p = 5), and by strong
+    divisibility p | F_n exactly when z(p) | n, so factor stripping of
+    that bound finds it.
     """
     if not is_prime(p):
         raise ConfigError(f"order_of_appearance requires a prime, got {p}")
-    if p == 2:
-        return 3
-    if p == 5:
-        return 5
-    bound = p - legendre(5, p)
-    for d in divisors(bound):
-        if fib_mod(d, p) == 0:
-            return d
-    raise InvariantError(f"no divisor of {bound} annihilates F mod {p}")
+    bound = p - legendre5(p)
+    if fib_mod(bound, p) != 0:
+        raise InvariantError(f"no divisor of {bound} annihilates F mod {p}")
+    return _strip_factors(bound, lambda l: fib_mod(l, p) == 0)
 
 
 def order_of_appearance_scan(m: int) -> int:

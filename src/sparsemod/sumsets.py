@@ -30,6 +30,9 @@ from .errors import ConfigError, ConstructionError, GuardError, InvariantError
 from .numtheory import fib_mod
 from .valueset import SequenceSpec
 
+# Largest |X||Y||Z|^2 ternary_count will enumerate.
+TUPLE_GUARD = 10**9
+
 
 class ResidueSet:
     """A subset of Z/pZ as a p-bit mask inside one Python int."""
@@ -148,16 +151,8 @@ def product_set(a: ResidueSet, b: ResidueSet) -> ResidueSet:
     """{x * y mod p : x in a, y in b}, exact."""
     if a.p != b.p:
         raise ConfigError("mismatched moduli")
-    p = a.p
-    bits = 0
     bl = list(b)
-    for x in a:
-        if x == 0:
-            bits |= 1
-            continue
-        for y in bl:
-            bits |= 1 << (x * y % p)
-    return ResidueSet(p, bits)
+    return ResidueSet.from_iterable(a.p, (x * y for x in a for y in bl))
 
 
 def k_fold_sumset(v: ResidueSet, k: int) -> CoverResult:
@@ -314,8 +309,8 @@ class TernaryReport:
     bound: float
 
 
-def ternary_count(x: ResidueSet, y: ResidueSet, z: ResidueSet, lam: int,
-                  tuple_guard: int = 10**9) -> TernaryReport:
+def ternary_count(x: ResidueSet, y: ResidueSet, z: ResidueSet,
+                  lam: int) -> TernaryReport:
     """Count solutions of x*y + z1 + z2 = lam exactly.
 
     The inequality |count - main| <= bound is checked in exact integer
@@ -328,8 +323,8 @@ def ternary_count(x: ResidueSet, y: ResidueSet, z: ResidueSet, lam: int,
     nx, ny, nz = len(x), len(y), len(z)
     if min(nx, ny, nz) == 0:
         raise ConfigError("empty factor set")
-    if nx * ny * nz * nz > tuple_guard:
-        raise GuardError(f"|X||Y||Z|^2 = {nx * ny * nz * nz} > {tuple_guard}")
+    if nx * ny * nz * nz > TUPLE_GUARD:
+        raise GuardError(f"|X||Y||Z|^2 = {nx * ny * nz * nz} > {TUPLE_GUARD}")
     lam %= p
 
     zarr = np.fromiter(z, dtype=np.int64, count=nz)

@@ -20,12 +20,15 @@ from multiprocessing import Pool
 from typing import Optional
 
 from .errors import ConfigError, GuardError, InvariantError
-from .numtheory import mult_order, order_of_appearance, prime_record, sieve_primes
+from .numtheory import PrimeRecord, prime_record, sieve_primes
 from .valueset import ResidueMultiset, SequenceSpec, collision_stats
 from .sumsets import ipow_floor, waring_fib_direct
 from .expsums import norm_report
 
-SCHEMA = "sparsemod-survey-v2"
+SCHEMA = "sparsemod-survey-v3"
+
+# Share of rows each headline fraction must reach for headline_ok.
+PASS_THRESHOLD = 0.9
 
 CSV_COLUMNS = ("p", "t_p", "z_p", "legendre5", "waring_s_min",
                "waring_max_index", "l1", "l2sq", "energy", "l1_ratio",
@@ -48,7 +51,6 @@ class SurveyConfig:
     s_max: int = 16
     workers: int = 1
     sequence: Optional[SequenceSpec] = None  # default: fibonacci 1..floor(N^gamma)
-    pass_threshold: float = 0.9
 
     def __post_init__(self):
         if self.nmax < 2:
@@ -79,8 +81,8 @@ class SurveyConfig:
 class SurveyRow:
     p: int
     t_p: Optional[int]
-    z_p: int
-    legendre5: int
+    z_p: Optional[int]
+    legendre5: Optional[int]
     waring_s_min: Optional[int]
     waring_max_index: int
     l1: Optional[float]
@@ -101,13 +103,16 @@ class SurveyReport:
 
 
 def _survey_row(args: tuple[int, SequenceSpec, int, int]) -> SurveyRow:
+    """One prime's row.  Every stage runs under one try: a stage that fails
+    marks the row's status and leaves its own and all later fields empty."""
     p, seq, max_index, s_max = args
-    rec = prime_record(p)
     status = "ok" if p != 2 else "partial:t_p"
-    cover = waring_fib_direct(p, max_index, s_max)
-    l1 = l2sq = ratio = None
-    energy = vs_size = vs_distinct = None
+    t_p = z_p = leg5 = s_min = l1 = l2sq = energy = ratio = None
+    vs_size = vs_distinct = None
     try:
+        rec = prime_record(p)
+        t_p, z_p, leg5 = rec.t_p, rec.z_p, rec.legendre5
+        s_min = waring_fib_direct(p, max_index, s_max).s_min
         ms = ResidueMultiset.from_spec(seq, p)
         stats = collision_stats(ms)
         vs_size, vs_distinct = stats.size, stats.distinct
@@ -118,8 +123,8 @@ def _survey_row(args: tuple[int, SequenceSpec, int, int]) -> SurveyRow:
         status = f"guard:{exc}"
     except InvariantError as exc:
         status = f"invariant:{exc}"
-    return SurveyRow(p=p, t_p=rec.t_p, z_p=rec.z_p, legendre5=rec.legendre5,
-                     waring_s_min=cover.s_min, waring_max_index=max_index,
+    return SurveyRow(p=p, t_p=t_p, z_p=z_p, legendre5=leg5,
+                     waring_s_min=s_min, waring_max_index=max_index,
                      l1=l1, l2sq=l2sq, energy=energy, l1_ratio=ratio,
                      vs_size=vs_size, vs_distinct=vs_distinct, status=status)
 
@@ -146,9 +151,9 @@ def _aggregate(rows: tuple[SurveyRow, ...], config: SurveyConfig) -> dict:
         "l1_ratio_max": max(ratios) if ratios else None,
     }
     agg["headline_ok"] = bool(
-        (agg["value_set_fraction"] or 0) >= config.pass_threshold
-        and agg["waring16_fraction"] >= config.pass_threshold
-        and agg["chain_fraction"] >= config.pass_threshold)
+        (agg["value_set_fraction"] or 0) >= PASS_THRESHOLD
+        and agg["waring16_fraction"] >= PASS_THRESHOLD
+        and agg["chain_fraction"] >= PASS_THRESHOLD)
     return agg
 
 
@@ -160,27 +165,18 @@ def run_survey(config: SurveyConfig) -> SurveyReport:
     jobs = [(p, seq, max_index, config.s_max) for p in primes]
     if config.workers > 1 and len(jobs) > 1:
         with Pool(config.workers) as pool:
-            rows = pool.map(_survey_row, jobs, chunksize=32)
+            rows = tuple(pool.map(_survey_row, jobs, chunksize=32))
     else:
-        rows = [_survey_row(j) for j in jobs]
-    rows.sort(key=lambda r: r.p)
-    rows = tuple(rows)
+        rows = tuple(_survey_row(j) for j in jobs)
     return SurveyReport(schema=SCHEMA, config=config, rows=rows,
                         aggregates=_aggregate(rows, config))
-
-
-@dataclass(frozen=True)
-class OrdersRow:
-    p: int
-    t_p: Optional[int]
-    z_p: int
 
 
 @dataclass(frozen=True)
 class OrdersReport:
     nmax: int
     threshold_exponent: float
-    rows: tuple[OrdersRow, ...]
+    rows: tuple[PrimeRecord, ...]
     z_fraction: float          # share of primes with z(p) > p^threshold
     t_fraction: Optional[float]  # same for ord_p(2); p = 2 excluded
 
@@ -194,24 +190,17 @@ def orders_survey(nmax: int, threshold_exponent: float = 0.5) -> OrdersReport:
     primes = sieve_primes(nmax)
     if not primes:
         raise ConfigError(f"no primes <= {nmax}")
-    rows = []
-    z_hits = 0
-    t_hits = 0
-    t_total = 0
-    for p in primes:
-        t_p = None if p == 2 else mult_order(2, p)
-        z_p = order_of_appearance(p)
-        rows.append(OrdersRow(p=p, t_p=t_p, z_p=z_p))
-        if z_p**thr.denominator > p**thr.numerator:
-            z_hits += 1
-        if t_p is not None:
-            t_total += 1
-            if t_p**thr.denominator > p**thr.numerator:
-                t_hits += 1
+    rows = tuple(prime_record(p) for p in primes)
+
+    def large(order: int, p: int) -> bool:
+        return order**thr.denominator > p**thr.numerator
+
+    t_rows = [r for r in rows if r.t_p is not None]
     return OrdersReport(
-        nmax=nmax, threshold_exponent=float(threshold_exponent), rows=tuple(rows),
-        z_fraction=z_hits / len(primes),
-        t_fraction=t_hits / t_total if t_total else None)
+        nmax=nmax, threshold_exponent=float(threshold_exponent), rows=rows,
+        z_fraction=sum(large(r.z_p, r.p) for r in rows) / len(rows),
+        t_fraction=(sum(large(r.t_p, r.p) for r in t_rows) / len(t_rows)
+                    if t_rows else None))
 
 
 def _config_dict(config: SurveyConfig) -> dict:

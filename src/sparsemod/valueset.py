@@ -135,14 +135,14 @@ class SequenceSpec:
         else:  # pragma: no cover
             raise AssertionError(self.family)
 
-    def exact_values(self, digit_guard: int = DIGIT_GUARD) -> list[int]:
+    def exact_values(self) -> list[int]:
         """The block as exact integers (guarded against huge terms)."""
         lo, hi = self.index_lo, self.index_hi
         if self.family == "explicit":
             return list(self.values[lo - 1 : hi])
         if self.family == "power":
-            if hi * math.log10(self.base) > digit_guard:
-                raise GuardError(f"{self.label()} exceeds {digit_guard} digits")
+            if hi * math.log10(self.base) > DIGIT_GUARD:
+                raise GuardError(f"{self.label()} exceeds {DIGIT_GUARD} digits")
             vals = []
             x = self.base**lo
             for _ in range(lo, hi + 1):
@@ -150,8 +150,8 @@ class SequenceSpec:
                 x *= self.base
             return vals
         top = 2 * hi if self.family == "fibonacci-even" else hi
-        if top * 0.2090 > digit_guard + 10:
-            raise GuardError(f"{self.label()} exceeds {digit_guard} digits")
+        if top * 0.2090 > DIGIT_GUARD + 10:
+            raise GuardError(f"{self.label()} exceeds {DIGIT_GUARD} digits")
         fib = [0, 1]
         while len(fib) <= top + 1:
             fib.append(fib[-1] + fib[-2])

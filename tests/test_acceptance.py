@@ -305,7 +305,7 @@ def test_c12_cli_determinism(tmp_path):
             blobs[(fmt, run)] = out.read_bytes()
         assert blobs[(fmt, "a")] == blobs[(fmt, "b")]
     payload = json.loads(blobs[("json", "a")])
-    assert payload["schema"] == "sparsemod-survey-v2"
+    assert payload["schema"] == "sparsemod-survey-v3"
     el = time.time() - t0
     assert el < 60.0
     print(f"\nC12 PASS: csv and json byte-identical across runs, {el:.2f}s")

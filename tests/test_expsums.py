@@ -141,10 +141,11 @@ class TestNormReport:
     def test_pair_sum_energy_against_oracles(self, ms):
         assert norm_report(ms).energy == additive_energy_direct(ms) == brute_energy(ms)
 
-    def test_energy_guard(self):
+    def test_energy_guard(self, monkeypatch):
+        monkeypatch.setattr(expsums, "SIZE_GUARD", 2)
         big = ResidueMultiset.from_counts(3, {0: 1, 1: 1, 2: 1})
         with pytest.raises(GuardError):
-            additive_energy_direct(big, size_guard=2)
+            additive_energy_direct(big)
 
 
 class TestLittlewoodFib:

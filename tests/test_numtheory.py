@@ -23,7 +23,6 @@ from sparsemod import (
 from sparsemod.numtheory import (
     INDEX_CAP,
     MODULUS_CAP,
-    divisors,
     fib_pair_mod,
     mult_order_scan,
     order_of_appearance_scan,
@@ -147,16 +146,6 @@ class TestFactoring:
         assert prime_factors(97) == [97]
         assert prime_factors(2**6 * 5**6) == [2, 5]
 
-    def test_divisors_sorted_complete(self):
-        assert divisors(1) == [1]
-        assert divisors(12) == [1, 2, 3, 4, 6, 12]
-        rng = random.Random(3)
-        for _ in range(50):
-            n = rng.randint(1, 10**6)
-            ds = divisors(n)
-            assert ds == sorted(ds)
-            assert all(n % d == 0 for d in ds)
-            assert len(ds) == sum(1 for d in range(1, n + 1) if n % d == 0) or n > 10**4
 
 
 class TestLegendre:
@@ -228,7 +217,7 @@ class TestOrderOfAppearance:
                 assert fib_mod(n, p) != 0, (p, n)
 
     def test_matches_scan_to_1e4(self):
-        """Divisor-search shortcut equals the linear scan for every prime p <= 10^4."""
+        """Factor stripping equals the linear scan for every prime p <= 10^4."""
         for p in sieve_primes(10_000):
             assert order_of_appearance(p) == order_of_appearance_scan(p), p
 

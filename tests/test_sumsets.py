@@ -27,6 +27,7 @@ from sparsemod import (
     waring_eps_verify,
     waring_fib_direct,
 )
+import sparsemod.sumsets as sumsets
 from sparsemod.sumsets import _first_index, fib_residue_set
 
 
@@ -92,6 +93,19 @@ class TestProductSet:
             p = rng.choice([5, 7, 13, 31, 101])
             a = ResidueSet.from_iterable(p, rng.sample(range(p), rng.randint(1, p)))
             b = ResidueSet.from_iterable(p, rng.sample(range(p), rng.randint(1, p)))
+            want = {(x * y) % p for x in a for y in b}
+            assert set(product_set(a, b)) == want
+
+    def test_zero_and_empty_factors(self):
+        zero = ResidueSet.from_iterable(7, [0])
+        empty = ResidueSet(7)
+        assert list(product_set(zero, empty)) == []
+        assert list(product_set(empty, zero)) == []
+        rng = random.Random(78)
+        for _ in range(100):
+            p = rng.choice([2, 3, 5, 7, 13, 31])
+            a = ResidueSet.from_iterable(p, [0] + rng.sample(range(p), rng.randint(0, p)))
+            b = ResidueSet.from_iterable(p, rng.sample(range(p), rng.randint(0, p)))
             want = {(x * y) % p for x in a for y in b}
             assert set(product_set(a, b)) == want
 
@@ -324,10 +338,11 @@ class TestTernaryCount:
             assert rep.count == want
             assert abs(rep.count - rep.main) <= rep.bound + 1e-9
 
-    def test_guard(self):
+    def test_guard(self, monkeypatch):
+        monkeypatch.setattr(sumsets, "TUPLE_GUARD", 10**6)
         full = ResidueSet.full(101)
         with pytest.raises(GuardError):
-            ternary_count(full, full, full, 0, tuple_guard=10**6)
+            ternary_count(full, full, full, 0)
 
 
 class TestWaringEpsParams:

@@ -128,7 +128,7 @@ class TestSerialization:
         rep = run_survey(SurveyConfig(nmax=100))
         text = survey_csv(rep)
         lines = text.splitlines()
-        assert lines[0] == "# sparsemod-survey-v2"
+        assert lines[0] == "# sparsemod-survey-v3"
         assert lines[1] == ",".join(CSV_COLUMNS)
         assert len(lines) == 2 + len(rep.rows)
         assert text.endswith("\n")
@@ -136,7 +136,7 @@ class TestSerialization:
     def test_json_round_trip(self):
         rep = run_survey(SurveyConfig(nmax=100))
         payload = json.loads(survey_json(rep))
-        assert payload["schema"] == "sparsemod-survey-v2"
+        assert payload["schema"] == "sparsemod-survey-v3"
         assert len(payload["rows"]) == len(rep.rows)
         assert payload["config"]["nmax"] == 100
         assert "epsilon" not in payload["config"]
@@ -171,6 +171,9 @@ class TestOrdersSurvey:
         # recompute the fractions: z_p > sqrt(p), exact comparison
         zf = sum(1 for row in rep.rows if row.z_p**2 > row.p) / len(rep.rows)
         assert rep.z_fraction == pytest.approx(zf)
+
+    def test_rows_are_prime_records(self):
+        assert list(orders_survey(500).rows) == [prime_record(p) for p in sieve_primes(500)]
 
     def test_threshold_zero_counts_everything(self):
         rep = orders_survey(100, 0.0)
@@ -257,6 +260,39 @@ class TestCliExitCodes:
         assert rows[13]["status"] == "invariant:planted"
         assert sum(r["status"].startswith("invariant:") for r in rows.values()) == 1
         assert "invariant failed" in capsys.readouterr().err
+
+    def test_survey_orders_failure_keeps_report(self, tmp_path, capsys, monkeypatch):
+        import sparsemod.numtheory as nt
+
+        monkeypatch.setattr(nt, "fib_mod", lambda n, m: 1)
+        out = tmp_path / "r.csv"
+        code = main(["survey", "--nmax", "50", "--out", str(out), "--format", "csv"])
+        assert code == 3
+        lines = out.read_text().splitlines()
+        assert len(lines) == 2 + len(sieve_primes(50))
+        for line in lines[2:]:
+            p, t_p, z_p, leg5, s_min, _, *rest, status = line.split(",")
+            assert (t_p, z_p, leg5, s_min) == ("", "", "", "")
+            assert rest == [""] * 6
+            assert status.startswith("invariant:") and status.endswith(f"annihilates F mod {p}")
+
+    def test_survey_stage_failure_empties_later_fields(self, capsys, monkeypatch):
+        import sparsemod.survey as survey_mod
+        from sparsemod.errors import GuardError
+        real = survey_mod.waring_fib_direct
+
+        def planted(p, max_index, s_max):
+            if p == 13:
+                raise GuardError("planted")
+            return real(p, max_index, s_max)
+
+        monkeypatch.setattr(survey_mod, "waring_fib_direct", planted)
+        rows = {r.p: r for r in run_survey(SurveyConfig(nmax=50)).rows}
+        bad = rows[13]
+        assert bad.status == "guard:planted"
+        assert (bad.t_p, bad.z_p, bad.legendre5) == (12, 7, -1)
+        assert bad.waring_s_min is bad.l1 is bad.energy is bad.vs_size is None
+        assert all(r.status in ("ok", "partial:t_p") for p, r in rows.items() if p != 13)
 
     def test_orders_without_zero_divisor_exits_3(self, capsys, monkeypatch):
         import sparsemod.numtheory as nt
