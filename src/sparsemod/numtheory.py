@@ -146,14 +146,19 @@ def _strip_factors(bound: int, holds: Callable[[int], bool]) -> int:
     return d
 
 
-def legendre(a: int, p: int) -> int:
-    """Legendre symbol (a|p) in {-1, 0, 1} by Euler's criterion; p an odd prime."""
-    if p == 2 or not is_prime(p):
-        raise ConfigError(f"legendre requires an odd prime, got {p}")
+def _euler_symbol(a: int, p: int) -> int:
+    """(a|p) by Euler's criterion for an odd prime p the caller has checked."""
     r = pow(a % p, (p - 1) // 2, p)
     if r == 0:
         return 0
     return 1 if r == 1 else -1
+
+
+def legendre(a: int, p: int) -> int:
+    """Legendre symbol (a|p) in {-1, 0, 1} by Euler's criterion; p an odd prime."""
+    if p == 2 or not is_prime(p):
+        raise ConfigError(f"legendre requires an odd prime, got {p}")
+    return _euler_symbol(a, p)
 
 
 def legendre5(p: int) -> int:
@@ -165,6 +170,11 @@ def legendre5(p: int) -> int:
     if p == 2:
         return -1
     return legendre(5, p)
+
+
+def _legendre5_of_prime(p: int) -> int:
+    """legendre5 for a prime p the caller has checked."""
+    return -1 if p == 2 else _euler_symbol(5, p)
 
 
 def mult_order(a: int, p: int) -> int:
@@ -200,7 +210,7 @@ def order_of_appearance(p: int) -> int:
     """
     if not is_prime(p):
         raise ConfigError(f"order_of_appearance requires a prime, got {p}")
-    bound = p - legendre5(p)
+    bound = p - _legendre5_of_prime(p)
     if fib_mod(bound, p) != 0:
         raise InvariantError(f"no divisor of {bound} annihilates F mod {p}")
     return _strip_factors(bound, lambda l: fib_mod(l, p) == 0)
@@ -254,9 +264,11 @@ class PrimeRecord:
 
 
 def prime_record(p: int) -> PrimeRecord:
+    # mult_order and order_of_appearance check that p is prime, so the
+    # symbol is taken unchecked.
     return PrimeRecord(
         p=p,
         t_p=None if p == 2 else mult_order(2, p),
         z_p=order_of_appearance(p),
-        legendre5=legendre5(p),
+        legendre5=_legendre5_of_prime(p),
     )

@@ -2,8 +2,8 @@
 
 Subsets of Z/pZ are bit vectors packed into a single Python integer, so a
 (k+1)-fold sumset is the union over generators v of the k-fold sumset
-cyclically rotated by v -- one shift-or pass per generator.  On top of that
-sit three constructions:
+cyclically rotated by v -- one shift-or pass per generator, stopping as
+soon as the union covers F_p.  On top of that sit three constructions:
 
 * glibichuk_check: |A||B| > 2p forces the 8-fold sumset of A*B to be all
   of F_p; checked exactly, with a missing-residue witness on failure.
@@ -33,6 +33,10 @@ from .valueset import SequenceSpec
 # Largest |X||Y||Z|^2 ternary_count will enumerate.
 TUPLE_GUARD = 10**9
 
+# Generators a fold shifts in between two checks of its union against the
+# full mask; a check costs about as much as one shift-or.
+FOLD_CHECK_EVERY = 16
+
 
 class ResidueSet:
     """A subset of Z/pZ as a p-bit mask inside one Python int."""
@@ -47,12 +51,16 @@ class ResidueSet:
 
     @classmethod
     def from_iterable(cls, p: int, xs: Iterable[int]) -> "ResidueSet":
-        # one byte write per member; OR-ing 1 << x into an int costs O(p)
-        buf = bytearray((p + 7) // 8)
-        for x in xs:
-            x %= p
-            buf[x >> 3] |= 1 << (x & 7)
-        return cls(p, int.from_bytes(buf, "little"))
+        """The set {x mod p : x in xs}; members must fit in int64."""
+        out = cls(p)
+        try:
+            members = np.fromiter(xs, dtype=np.int64)
+        except OverflowError as exc:
+            raise ConfigError("residue set member outside int64") from exc
+        flags = np.zeros(p, dtype=np.uint8)
+        flags[members % p] = 1
+        out.bits = int.from_bytes(np.packbits(flags, bitorder="little").tobytes(), "little")
+        return out
 
     @classmethod
     def full(cls, p: int) -> "ResidueSet":
@@ -93,10 +101,16 @@ class ResidueSet:
 
 
 def _fold_once(bits: int, gens: list[int], p: int) -> int:
+    """Union of the rotations of bits by each generator.  Once the union
+    is all of F_p no later generator can change it, so the fold stops."""
     mask = (1 << p) - 1
     out = 0
-    for v in gens:
+    for i, v in enumerate(gens, 1):
         out |= (bits << v) | (bits >> (p - v)) if v else bits
+        if i % FOLD_CHECK_EVERY == 0:
+            out &= mask
+            if out == mask:
+                break
     return out & mask
 
 

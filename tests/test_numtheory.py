@@ -264,8 +264,26 @@ class TestPrimeRecord:
         assert rec2.t_p is None
 
     def test_rejects_composites(self):
-        with pytest.raises(ConfigError):
-            prime_record(10)
+        for n in (0, 1, 4, 9, 10, 25, 561):
+            with pytest.raises(ConfigError):
+                prime_record(n)
+
+    def test_legendre5_field_matches_checked_symbol(self):
+        for p in sieve_primes(2000):
+            assert prime_record(p).legendre5 == legendre5(p), p
+
+    def test_two_primality_checks_per_record(self, monkeypatch):
+        """mult_order and order_of_appearance each check p once; the
+        Legendre symbols they share are taken unchecked."""
+        import sparsemod.numtheory as nt
+
+        calls = []
+        real = nt.is_prime
+        monkeypatch.setattr(nt, "is_prime", lambda n: calls.append(n) or real(n))
+        for p in (3, 5, 11, 99991):
+            calls.clear()
+            prime_record(p)
+            assert calls == [p, p]
 
 
 class TestClassicalIdentities:

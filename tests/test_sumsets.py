@@ -5,6 +5,7 @@ import random
 from fractions import Fraction
 from itertools import islice
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -28,11 +29,57 @@ from sparsemod import (
     waring_fib_direct,
 )
 import sparsemod.sumsets as sumsets
-from sparsemod.sumsets import _first_index, fib_residue_set
+from sparsemod.sumsets import (
+    FOLD_CHECK_EVERY,
+    _decompose_sum,
+    _first_index,
+    _fold_once,
+    _sumset_layers,
+    fib_residue_set,
+)
 
 
 def brute_fold(base, prev, p):
     return {(a + b) % p for a in prev for b in base}
+
+
+def to_mask(members):
+    return sum(1 << x for x in set(members))
+
+
+@st.composite
+def dense_folds(draw):
+    """(p, previous set, generators) whose union covers F_p after the first
+    FOLD_CHECK_EVERY generators, with more generators left to fold: a set
+    missing fewer than FOLD_CHECK_EVERY residues, shifted by that many
+    distinct generators, covers F_p."""
+    p = draw(st.integers(FOLD_CHECK_EVERY + 1, 400))
+    missing = draw(st.sets(st.integers(0, p - 1), max_size=FOLD_CHECK_EVERY - 1))
+    gens = draw(st.sets(st.integers(0, p - 1), min_size=FOLD_CHECK_EVERY + 1,
+                        max_size=min(p, 64)))
+    return p, set(range(p)) - missing, sorted(gens)
+
+
+@st.composite
+def sparse_folds(draw):
+    """(p, previous set, generators) with |A||G| < p, so the union never
+    covers F_p and every generator is folded."""
+    p = draw(st.integers(2, 400))
+    prev = draw(st.sets(st.integers(0, p - 1), max_size=min(p - 1, 10)))
+    cap = min(p - 1, 80) if not prev else (p - 1) // len(prev)
+    gens = draw(st.sets(st.integers(0, p - 1), max_size=cap))
+    return p, prev, sorted(gens)
+
+
+@st.composite
+def covering_generators(draw):
+    """(prime p, generators) whose 8-fold sumset is F_p by Cauchy-Davenport:
+    |jG| >= min(p, j(|G| - 1) + 1)."""
+    p = draw(st.sampled_from(sieve_primes(400)))
+    least = (p - 2) // 7 + 2
+    gens = draw(st.sets(st.integers(0, p - 1), min_size=min(p, least),
+                        max_size=min(p, least + 20)))
+    return p, sorted(gens)
 
 
 def first_index_oracle(value, lo, hi):
@@ -79,6 +126,69 @@ class TestResidueSet:
         assert sorted(ResidueSet.from_iterable(5, [-1, 12])) == [2, 4]
         with pytest.raises(ConfigError):
             ResidueSet(1, 0)
+        with pytest.raises(ConfigError):
+            ResidueSet.from_iterable(1, [0])
+
+    @given(st.integers(2, 400),
+           st.lists(st.integers(-2**63, 2**63 - 1) | st.integers(-1000, 1000),
+                    max_size=300),
+           st.booleans())
+    def test_from_iterable_matches_set_comprehension(self, p, xs, as_generator):
+        """Empty input, duplicates, negatives and values >= p, from a list
+        or a one-shot generator."""
+        s = ResidueSet.from_iterable(p, (x for x in xs) if as_generator else xs)
+        want = {x % p for x in xs}
+        assert set(s) == want and len(s) == len(want)
+        assert s == ResidueSet(p, to_mask(want))
+
+    def test_from_iterable_rejects_members_outside_int64(self):
+        for bad in (2**63, 2**70, -2**63 - 1):
+            with pytest.raises(ConfigError, match="int64"):
+                ResidueSet.from_iterable(7, [1, bad])
+        assert sorted(ResidueSet.from_iterable(7, [2**63 - 1, -2**63])) == [0, 6]
+
+
+class TestFoldOnce:
+    @given(dense_folds() | sparse_folds())
+    def test_matches_brute_union(self, case):
+        """The early-exiting fold equals the set-sum union, whether the union
+        covers F_p partway through the generators (dense) or never (sparse)."""
+        p, prev, gens = case
+        got = _fold_once(to_mask(prev), gens, p)
+        want = brute_fold(set(gens), prev, p)
+        assert got == to_mask(want)
+        if len(prev) * len(gens) < p:
+            assert len(want) < p
+        if len(prev) > p - FOLD_CHECK_EVERY and len(gens) > FOLD_CHECK_EVERY:
+            assert len(want) == p
+
+    def test_stops_once_covered(self):
+        """Generators past the check that finds F_p covered are never read."""
+        p = 101
+        prev = to_mask(range(1, p))
+        gens = list(range(FOLD_CHECK_EVERY)) + ["unread"]
+        assert _fold_once(prev, gens, p) == (1 << p) - 1
+        with pytest.raises(TypeError):
+            _fold_once(to_mask([0]), gens, p)
+
+    @given(covering_generators(), st.integers(0, 10**6))
+    def test_layers_stay_full_and_decompose(self, case, target):
+        """Each of 8 layers equals the brute j-fold sumset, every layer after
+        the first full one is the full mask, and a witness splits any target
+        into 8 generators."""
+        p, gens = case
+        layers = _sumset_layers(gens, p, 8)
+        g = np.array(gens)
+        cur = g
+        for layer in layers:
+            assert layer == to_mask(cur.tolist())
+            cur = np.unique((cur[:, None] + g[None, :]) % p)   # all pair sums
+        full = (1 << p) - 1
+        first = layers.index(full)
+        assert all(layer == full for layer in layers[first:])
+        picks = _decompose_sum(target, layers, gens, p)
+        assert len(picks) == 8 and set(picks) <= set(gens)
+        assert sum(picks) % p == target % p
 
 
 class TestProductSet:
