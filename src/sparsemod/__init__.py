@@ -8,20 +8,20 @@ exponential sums, each backed by an independent exact oracle.
 
 from .errors import (ConfigError, ConstructionError, GuardError,
                      InvariantError)
-from .numtheory import (PrimeRecord, fib_lucas_mod, fib_mod, is_prime,
-                        is_primitive_root, least_primitive_root, legendre,
-                        legendre5, lucas_mod, mult_order, order_of_appearance,
-                        order_of_appearance_scan, prime_record, sieve_primes)
+from .numtheory import (PrimeRecord, fib_lucas_mod, fib_mod, ipow_floor,
+                        is_prime, is_primitive_root, least_primitive_root,
+                        legendre, legendre5, lucas_mod, mult_order,
+                        order_of_appearance, order_of_appearance_scan,
+                        prime_record, sieve_primes)
 from .valueset import (CollisionStats, JTotal, ResidueMultiset, SequenceSpec,
                        collision_stats, digit_magnitude,
                        fib_even_distinctness, j_total, j_total_pairscan,
                        value_set_survey)
 from .sumsets import (CoverResult, EpsRepresentation, GlibichukResult,
                       ResidueSet, TernaryReport, WaringEpsParams,
-                      WaringRepresentation, glibichuk_check, ipow_floor,
-                      k_fold_sumset, product_set, ternary_count,
-                      waring_constructive, waring_eps_params,
-                      waring_eps_verify, waring_fib_direct)
+                      WaringRepresentation, glibichuk_check, k_fold_sumset,
+                      product_set, ternary_count, waring_constructive,
+                      waring_eps_params, waring_eps_verify, waring_fib_direct)
 from .expsums import (FibLittlewood, NormReport, PowLittlewood,
                       additive_energy_direct, l1_full_scan, littlewood_fib,
                       littlewood_pow, norm_report)
@@ -32,7 +32,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ConfigError", "ConstructionError", "GuardError", "InvariantError",
-    "PrimeRecord", "fib_lucas_mod", "fib_mod", "is_prime",
+    "PrimeRecord", "fib_lucas_mod", "fib_mod", "ipow_floor", "is_prime",
     "is_primitive_root", "least_primitive_root", "legendre", "legendre5",
     "lucas_mod", "mult_order", "order_of_appearance",
     "order_of_appearance_scan", "prime_record", "sieve_primes",
@@ -41,7 +41,7 @@ __all__ = [
     "j_total_pairscan", "value_set_survey",
     "CoverResult", "EpsRepresentation", "GlibichukResult", "ResidueSet",
     "TernaryReport", "WaringEpsParams", "WaringRepresentation",
-    "glibichuk_check", "ipow_floor", "k_fold_sumset", "product_set",
+    "glibichuk_check", "k_fold_sumset", "product_set",
     "ternary_count", "waring_constructive", "waring_eps_params",
     "waring_eps_verify", "waring_fib_direct",
     "FibLittlewood", "NormReport", "PowLittlewood",

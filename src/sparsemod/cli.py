@@ -6,7 +6,6 @@ Subcommands: survey, waring, littlewood, orders, jcount.  Exit codes:
 """
 
 import argparse
-import math
 import os
 import sys
 
@@ -16,8 +15,8 @@ from .valueset import SequenceSpec, digit_magnitude, j_total, j_total_pairscan
 from .sumsets import (waring_constructive, waring_eps_verify,
                       waring_fib_direct)
 from .expsums import littlewood_fib, littlewood_pow
-from .survey import (PASS_THRESHOLD, SurveyConfig, delta_of, orders_survey, run_survey,
-                     write_report)
+from .survey import (PASS_THRESHOLD, SurveyConfig, delta_of, max_index_of, orders_survey,
+                     run_survey, write_report)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -69,11 +68,11 @@ def _build_parser() -> _Parser:
 
     sv = sub.add_parser("survey", help="per-prime survey over p <= N")
     sv.add_argument("--nmax", type=int, required=True)
-    sv.add_argument("--gamma", type=float, default=0.3)
-    sv.add_argument("--delta-exp", type=float, default=0.4)
-    sv.add_argument("--threads", type=int, default=1)
-    sv.add_argument("--vs-delta", type=float, default=10.0)
-    sv.add_argument("--smax", type=int, default=16)
+    sv.add_argument("--gamma", type=float, default=SurveyConfig.gamma)
+    sv.add_argument("--delta-exp", type=float, default=SurveyConfig.delta_exponent)
+    sv.add_argument("--threads", type=int, default=SurveyConfig.workers)
+    sv.add_argument("--vs-delta", type=float, default=SurveyConfig.vs_delta)
+    sv.add_argument("--smax", type=int, default=SurveyConfig.s_max)
     sv.add_argument("--sequence", type=str, default=None,
                     help="override the surveyed block (default fib:1..floor(N^gamma))")
     sv.add_argument("--out", type=str, required=True)
@@ -86,10 +85,10 @@ def _build_parser() -> _Parser:
     wa.add_argument("--mode", choices=("direct", "constructive", "epsilon"),
                     default="direct")
     wa.add_argument("--epsilon", type=str, default="0.5")
-    wa.add_argument("--smax", type=int, default=16)
+    wa.add_argument("--smax", type=int, default=SurveyConfig.s_max)
     wa.add_argument("--delta", type=float, default=None,
                     help="window factor (default exp((log N)^rho))")
-    wa.add_argument("--delta-exp", type=float, default=0.4)
+    wa.add_argument("--delta-exp", type=float, default=SurveyConfig.delta_exponent)
 
     lw = sub.add_parser("littlewood", help="L1 norms of exponential sums")
     lw.add_argument("--p", type=int, required=True)
@@ -141,8 +140,17 @@ def _cmd_waring(args) -> int:
     if not is_prime(p):
         raise ConfigError(f"--p must be prime, got {p}")
     nmax = args.nmax if args.nmax is not None else p
+    if args.mode == "epsilon":
+        rep = waring_eps_verify(p, nmax, args.epsilon, args.lam)
+        prm = rep.params
+        print(f"p={p} N={nmax} eps={prm.eps} k={prm.k} s={prm.s}")
+        print(f"|X|,|Y|,|Z| = {rep.set_sizes}; m={rep.m} n={rep.n_tuple} "
+              f"z1={rep.z1_tuple} z2={rep.z2_tuple}")
+        print(f"{prm.s} Fibonacci indices (all <= N^eps): {list(rep.fib_indices)}")
+        return 0
+    delta = args.delta if args.delta is not None else delta_of(nmax, args.delta_exp)
     if args.mode == "direct":
-        max_index = math.ceil(delta_of(nmax, args.delta_exp) * math.sqrt(nmax))
+        max_index = max_index_of(nmax, delta)
         cover = waring_fib_direct(p, max_index, args.smax)
         print(f"p={p} max_index={max_index} coverage={list(cover.coverage_sizes)}")
         if cover.covered:
@@ -151,19 +159,10 @@ def _cmd_waring(args) -> int:
         else:
             print(f"not covered within {args.smax} folds")
         return 0
-    if args.mode == "constructive":
-        delta = args.delta if args.delta is not None else delta_of(nmax, args.delta_exp)
-        rep = waring_constructive(p, nmax, delta, args.lam)
-        print(f"p={p} lambda={rep.target} |F|={rep.f_size} |L|={rep.l_size}")
-        print(f"product pairs (n, m): {list(rep.pairs)}")
-        print(f"16 Fibonacci indices: {list(rep.fib_indices)}")
-        return 0
-    rep = waring_eps_verify(p, nmax, args.epsilon, args.lam)
-    prm = rep.params
-    print(f"p={p} N={nmax} eps={prm.eps} k={prm.k} s={prm.s}")
-    print(f"|X|,|Y|,|Z| = {rep.set_sizes}; m={rep.m} n={rep.n_tuple} "
-          f"z1={rep.z1_tuple} z2={rep.z2_tuple}")
-    print(f"{prm.s} Fibonacci indices (all <= N^eps): {list(rep.fib_indices)}")
+    rep = waring_constructive(p, nmax, delta, args.lam)
+    print(f"p={p} lambda={rep.target} |F|={rep.f_size} |L|={rep.l_size}")
+    print(f"product pairs (n, m): {list(rep.pairs)}")
+    print(f"16 Fibonacci indices: {list(rep.fib_indices)}")
     return 0
 
 

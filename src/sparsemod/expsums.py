@@ -25,9 +25,8 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import ConfigError, GuardError, InvariantError
-from .numtheory import is_prime, is_primitive_root
+from .numtheory import ipow_floor, is_prime, is_primitive_root
 from .valueset import ResidueMultiset, SequenceSpec, collision_stats
-from .sumsets import ipow_floor
 
 P_GUARD = 1_000_000
 SIZE_GUARD = 100_000
@@ -101,12 +100,10 @@ def norm_report(ms: ResidueMultiset) -> NormReport:
         raise GuardError(f"p = {ms.p} exceeds the guard {P_GUARD}")
     p = ms.p
     l1 = _l1_rfft(ms)
-    l2sq = float(collision_stats(ms).collisions)
+    collisions = collision_stats(ms).collisions
+    l2sq = float(collisions)
     energy = _pair_sum_energy(ms)
-    if all(c == 1 for c in ms.counts.values()):
-        kara = math.sqrt(ms.total**3 / energy)
-    else:
-        kara = l2sq**1.5 / math.sqrt(energy)
+    kara = math.sqrt(collisions**3 / energy)
     _check_chain(l1, l2sq, energy, kara, p)
     return NormReport(p=p, size=ms.total, l1=l1, l2sq=l2sq, energy=energy,
                       karatsuba_lb=kara)

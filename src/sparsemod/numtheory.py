@@ -2,8 +2,8 @@
 
 The rest of the package reduces everything to a handful of kernels kept
 here: a sieve, deterministic Miller-Rabin, Legendre symbols, multiplicative
-orders, the rank of apparition z(p) (least l >= 1 with F_l = 0 mod p), and
-F_n / L_n modulo m by fast doubling in O(log n) multiplications.
+orders, the rank of apparition z(p) (least l >= 1 with F_l = 0 mod p),
+F_n / L_n modulo m by fast doubling, and exact floors of n^(a/b).
 
 Conventions
 -----------
@@ -17,11 +17,12 @@ z(p)), whose prime factors come from trial division.
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import ConfigError, InvariantError
+from .errors import ConfigError, GuardError, InvariantError
 
 INDEX_CAP = 1 << 62
 MODULUS_CAP = 1 << 62
@@ -114,6 +115,43 @@ def fib_lucas_mod(n: int, m: int) -> tuple[int, int]:
     """(F_n mod m, L_n mod m) in O(log n) multiplications."""
     a, b = fib_pair_mod(n, m)
     return a, (2 * b - a) % m
+
+
+def _iroot(n: int, r: int) -> int:
+    """floor(n ** (1/r)) by integer Newton iteration."""
+    if n < 0 or r < 1:
+        raise ConfigError("iroot needs n >= 0, r >= 1")
+    if r == 1 or n in (0, 1):
+        return n
+    # start above the root; the iteration then decreases monotonically
+    x = 1 << ((n.bit_length() + r - 1) // r + 1)
+    while True:
+        y = ((r - 1) * x + n // x ** (r - 1)) // r
+        if y >= x:
+            break
+        x = y
+    while x**r > n:
+        x -= 1
+    while (x + 1) ** r <= n:
+        x += 1
+    return x
+
+
+def ipow_floor(n: int, exponent: Fraction) -> int:
+    """floor(n ** exponent) exactly, for n >= 1 and exponent >= 0.
+
+    Exponents are expected to be short decimals (0.3 = 3/10); the guard
+    rejects fractions whose numerator would force an astronomically large
+    power.
+    """
+    if n < 1:
+        raise ConfigError("need n >= 1")
+    e = Fraction(exponent)
+    if e < 0:
+        raise ConfigError("need exponent >= 0")
+    if n.bit_length() * e.numerator > 8_000_000:
+        raise GuardError(f"exponent {e} too fine-grained for exact flooring")
+    return _iroot(n**e.numerator, e.denominator)
 
 
 def prime_factors(n: int) -> list[int]:

@@ -3,7 +3,8 @@
 Subsets of Z/pZ are bit vectors packed into a single Python integer, so a
 (k+1)-fold sumset is the union over generators v of the k-fold sumset
 cyclically rotated by v -- one shift-or pass per generator, stopping as
-soon as the union covers F_p.  On top of that sit three constructions:
+soon as the union covers F_p.  _sumset_layers, the one loop over that fold,
+never folds past a full layer.  On top of that sit three constructions:
 
 * glibichuk_check: |A||B| > 2p forces the 8-fold sumset of A*B to be all
   of F_p; checked exactly, with a missing-residue witness on failure.
@@ -11,7 +12,8 @@ soon as the union covers F_p.  On top of that sit three constructions:
   by covering F_p with 8 products F_{2n} L_{2m} and rewriting each product
   as F_{2(n+m)} + F_{2(n-m)}.
 * waring_eps_verify: the short-index variant; s = 4k indices below N^eps,
-  found by solving x*y + z_1 + z_2 = lambda over structured sum sets.
+  found by solving x*y + z_1 + z_2 = lambda over structured sum sets, with
+  Z + Z as one fold of Z by its own members.
 
 Counting solutions of x y + z_1 + z_2 = lambda exactly (ternary_count)
 supplies the solvability bound behind the eps variant:
@@ -27,7 +29,7 @@ from typing import Iterable, Optional, Union
 import numpy as np
 
 from .errors import ConfigError, ConstructionError, GuardError, InvariantError
-from .numtheory import fib_mod
+from .numtheory import _iroot, fib_mod
 from .valueset import SequenceSpec
 
 # Largest |X||Y||Z|^2 ternary_count will enumerate.
@@ -95,10 +97,6 @@ class ResidueSet:
         inv = ~self.bits & ((1 << self.p) - 1)
         return (inv & -inv).bit_length() - 1
 
-    def rotate(self, v: int) -> "ResidueSet":
-        """The translate {x + v : x in self} (cyclic bit rotation)."""
-        return ResidueSet(self.p, _fold_once(self.bits, [v % self.p], self.p))
-
 
 def _fold_once(bits: int, gens: list[int], p: int) -> int:
     """Union of the rotations of bits by each generator.  Once the union
@@ -114,12 +112,15 @@ def _fold_once(bits: int, gens: list[int], p: int) -> int:
     return out & mask
 
 
-def _sumset_layers(gens: list[int], p: int, k: int) -> list[int]:
-    """Bit masks of the j-fold sumsets of gens for j = 1..k."""
-    layers = [ResidueSet.from_iterable(p, gens).bits]
-    for _ in range(k - 1):
+def _sumset_layers(base: ResidueSet, k: int) -> list[int]:
+    """Bit masks of the j-fold sumsets of base for j = 1..k.  A layer after
+    a full one is full too, so it is appended without folding."""
+    p, gens = base.p, list(base)
+    full = (1 << p) - 1
+    layers = [base.bits]
+    while len(layers) < k and layers[-1] != full:
         layers.append(_fold_once(layers[-1], gens, p))
-    return layers
+    return layers + [full] * (k - len(layers))
 
 
 def _decompose_sum(target: int, layers: list[int], gens: list[int], p: int) -> list[int]:
@@ -176,16 +177,12 @@ def k_fold_sumset(v: ResidueSet, k: int) -> CoverResult:
     if not v.bits:
         raise ConfigError("empty generating set")
     p = v.p
-    gens = list(v)
-    mask = (1 << p) - 1
-    s = v.bits
-    sizes = [s.bit_count()]
-    while s != mask and len(sizes) < k:
-        s = _fold_once(s, gens, p)
-        sizes.append(s.bit_count())
-    return CoverResult(p=p, s_min=len(sizes) if s == mask else None,
-                       coverage_sizes=tuple(sizes),
-                       missing_residue=ResidueSet(p, s).missing_residue())
+    layers = _sumset_layers(v, k)
+    full = (1 << p) - 1
+    s_min = layers.index(full) + 1 if layers[-1] == full else None
+    return CoverResult(p=p, s_min=s_min,
+                       coverage_sizes=tuple(s.bit_count() for s in layers[:s_min]),
+                       missing_residue=ResidueSet(p, layers[-1]).missing_residue())
 
 
 @dataclass(frozen=True)
@@ -288,7 +285,7 @@ def waring_constructive(p: int, nmax: int, delta: float, lam: int) -> WaringRepr
             if cur is None or (cur[0] < cur[1] and n >= m):
                 prod_wit[r] = (n, m)
     gens = sorted(prod_wit)
-    layers = _sumset_layers(gens, p, 8)
+    layers = _sumset_layers(ResidueSet.from_iterable(p, gens), 8)
     if layers[-1] != (1 << p) - 1:
         raise InvariantError(
             f"8-fold sumset misses residues at p={p} despite |F||L| > 2p")
@@ -395,43 +392,6 @@ def waring_eps_params(eps: Union[float, str, Fraction]) -> WaringEpsParams:
     return WaringEpsParams(eps=e, k=k, s=s)
 
 
-def _iroot(n: int, r: int) -> int:
-    """floor(n ** (1/r)) by integer Newton iteration."""
-    if n < 0 or r < 1:
-        raise ConfigError("iroot needs n >= 0, r >= 1")
-    if r == 1 or n in (0, 1):
-        return n
-    # start above the root; the iteration then decreases monotonically
-    x = 1 << ((n.bit_length() + r - 1) // r + 1)
-    while True:
-        y = ((r - 1) * x + n // x ** (r - 1)) // r
-        if y >= x:
-            break
-        x = y
-    while x**r > n:
-        x -= 1
-    while (x + 1) ** r <= n:
-        x += 1
-    return x
-
-
-def ipow_floor(n: int, exponent: Fraction) -> int:
-    """floor(n ** exponent) exactly, for n >= 1 and exponent >= 0.
-
-    Exponents are expected to be short decimals (0.3 = 3/10); the guard
-    rejects fractions whose numerator would force an astronomically large
-    power.
-    """
-    if n < 1:
-        raise ConfigError("need n >= 1")
-    e = Fraction(exponent)
-    if e < 0:
-        raise ConfigError("need exponent >= 0")
-    if n.bit_length() * e.numerator > 8_000_000:
-        raise GuardError(f"exponent {e} too fine-grained for exact flooring")
-    return _iroot(n**e.numerator, e.denominator)
-
-
 @dataclass(frozen=True)
 class EpsRepresentation:
     """lam = L_m * (F_{2n_1-1} + ... + F_{2n_k-1}) + z1 + z2 mod p, expanded
@@ -458,7 +418,8 @@ def waring_eps_verify(p: int, nmax: int, eps: Union[float, str, Fraction],
     solvability precondition |X||Y||Z|^2 > p^3 guarantees a solution of
     x y + z1 + z2 = lam; the product L_m F_{2n-1} = F_{m+2n-1} + F_{m-2n+1}
     turns it into 4k Fibonacci terms.  Search order is deterministic
-    (ascending m, then ascending x, with least-index witnesses).
+    (ascending m, then ascending x, with least-index witnesses).  Z + Z is
+    one fold of Z by its own members, and z1 the least z in Z with rest - z in Z.
     """
     if not 2 <= p <= nmax:
         raise ConfigError("need 2 <= p <= nmax")
@@ -484,8 +445,8 @@ def waring_eps_verify(p: int, nmax: int, eps: Union[float, str, Fraction],
     y_wit = _first_index(SequenceSpec.lucas(m_start, m_hi).residues(p), m_start)
     gens_x = sorted(x_idx)
     gens_z = sorted(z_idx)
-    layers_x = _sumset_layers(gens_x, p, k)
-    layers_z = _sumset_layers(gens_z, p, k)
+    layers_x = _sumset_layers(ResidueSet.from_iterable(p, gens_x), k)
+    layers_z = _sumset_layers(ResidueSet.from_iterable(p, gens_z), k)
 
     sx = layers_x[-1].bit_count()
     sy = len(y_wit)
@@ -495,26 +456,25 @@ def waring_eps_verify(p: int, nmax: int, eps: Union[float, str, Fraction],
             f"|X||Y||Z|^2 = {sx}*{sy}*{sz}^2 <= p^3 = {p**3}: "
             "solvability not guaranteed at these sizes")
 
-    pair_wit: dict[int, tuple[int, int]] = {}
-    z_res = list(ResidueSet(p, layers_z[-1]))
-    for z1 in z_res:
-        for z2 in z_res:
-            pair_wit.setdefault((z1 + z2) % p, (z1, z2))
+    z_bits = layers_z[-1]
+    z_res = list(ResidueSet(p, z_bits))
+    zz = _fold_once(z_bits, z_res, p)   # Z + Z
 
     target = lam % p
     x_res = list(ResidueSet(p, layers_x[-1]))
     for yv, m in y_wit.items():   # ascending m
         for xv in x_res:
             rest = (target - xv * yv) % p
-            hit = pair_wit.get(rest)
-            if hit is None:
+            if not (zz >> rest) & 1:
                 continue
+            z1 = next(z for z in z_res if (z_bits >> ((rest - z) % p)) & 1)
+            z2 = (rest - z1) % p
             n_tuple = tuple(sorted(x_idx[r] for r in
                                    _decompose_sum(xv, layers_x, gens_x, p)))
             z1_tuple = tuple(sorted(z_idx[r] for r in
-                                    _decompose_sum(hit[0], layers_z, gens_z, p)))
+                                    _decompose_sum(z1, layers_z, gens_z, p)))
             z2_tuple = tuple(sorted(z_idx[r] for r in
-                                    _decompose_sum(hit[1], layers_z, gens_z, p)))
+                                    _decompose_sum(z2, layers_z, gens_z, p)))
             indices = []
             for n in n_tuple:
                 indices.extend((m + 2 * n - 1, m - 2 * n + 1))

@@ -20,9 +20,9 @@ from multiprocessing import Pool
 from typing import Optional
 
 from .errors import ConfigError, GuardError, InvariantError
-from .numtheory import PrimeRecord, prime_record, sieve_primes
+from .numtheory import PrimeRecord, ipow_floor, prime_record, sieve_primes
 from .valueset import ResidueMultiset, SequenceSpec, collision_stats
-from .sumsets import ipow_floor, waring_fib_direct
+from .sumsets import waring_fib_direct
 from .expsums import norm_report
 
 SCHEMA = "sparsemod-survey-v3"
@@ -40,6 +40,11 @@ def delta_of(nmax: int, rho: float) -> float:
     if nmax < 2:
         raise ConfigError("need nmax >= 2")
     return math.exp(math.log(nmax) ** rho)
+
+
+def max_index_of(nmax: int, delta: float) -> int:
+    """The Waring cover's largest Fibonacci index, ceil(delta sqrt(N))."""
+    return math.ceil(delta * math.sqrt(nmax))
 
 
 @dataclass(frozen=True)
@@ -73,8 +78,7 @@ class SurveyConfig:
         return SequenceSpec.fibonacci(1, max(1, hi))
 
     def waring_max_index(self) -> int:
-        return math.ceil(delta_of(self.nmax, self.delta_exponent)
-                         * math.sqrt(self.nmax))
+        return max_index_of(self.nmax, delta_of(self.nmax, self.delta_exponent))
 
 
 @dataclass(frozen=True)

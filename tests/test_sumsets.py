@@ -7,7 +7,7 @@ from itertools import islice
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 from sparsemod import (
     ConfigError,
@@ -112,15 +112,6 @@ class TestResidueSet:
             assert got == [x for x in range(s.p) if x in s]
             assert all(type(x) is int for x in got)
 
-    def test_rotate_is_translation(self):
-        rng = random.Random(31)
-        for _ in range(100):
-            p = rng.choice([7, 11, 13, 97])
-            elems = rng.sample(range(p), rng.randint(1, p))
-            v = rng.randrange(p)
-            s = ResidueSet.from_iterable(p, elems)
-            assert sorted(s.rotate(v)) == sorted((e + v) % p for e in elems)
-
     def test_inputs_reduced_mod_p(self):
         assert sorted(ResidueSet.from_iterable(5, [5])) == [0]
         assert sorted(ResidueSet.from_iterable(5, [-1, 12])) == [2, 4]
@@ -150,9 +141,13 @@ class TestResidueSet:
 
 class TestFoldOnce:
     @given(dense_folds() | sparse_folds())
+    @example((13, {0, 3, 7, 12}, [5]))     # one generator: a translate
+    @example((13, {0, 3, 7, 12}, [0]))     # generator 0: the set itself
+    @example((2, {1}, [1]))
     def test_matches_brute_union(self, case):
         """The early-exiting fold equals the set-sum union, whether the union
-        covers F_p partway through the generators (dense) or never (sparse)."""
+        covers F_p partway through the generators (dense) or never (sparse);
+        a single generator v gives the translate by v."""
         p, prev, gens = case
         got = _fold_once(to_mask(prev), gens, p)
         want = brute_fold(set(gens), prev, p)
@@ -177,7 +172,7 @@ class TestFoldOnce:
         the first full one is the full mask, and a witness splits any target
         into 8 generators."""
         p, gens = case
-        layers = _sumset_layers(gens, p, 8)
+        layers = _sumset_layers(ResidueSet.from_iterable(p, gens), 8)
         g = np.array(gens)
         cur = g
         for layer in layers:
@@ -189,6 +184,22 @@ class TestFoldOnce:
         picks = _decompose_sum(target, layers, gens, p)
         assert len(picks) == 8 and set(picks) <= set(gens)
         assert sum(picks) % p == target % p
+
+    def test_layers_never_fold_past_a_full_layer(self, monkeypatch):
+        """Once a layer is full the rest are appended without folding."""
+        calls = []
+
+        def counting_fold(bits, gens, p):
+            calls.append(bits)
+            return _fold_once(bits, gens, p)
+
+        monkeypatch.setattr(sumsets, "_fold_once", counting_fold)
+        base = ResidueSet.from_iterable(7, [0, 1, 2, 3])   # 2G = F_7
+        assert _sumset_layers(base, 8) == [0b1111] + [0b1111111] * 7
+        assert calls == [0b1111]
+        cover = k_fold_sumset(base, 16)
+        assert (cover.s_min, cover.coverage_sizes) == (2, (4, 7))
+        assert len(calls) == 2
 
 
 class TestProductSet:
@@ -496,7 +507,41 @@ class TestIpowFloor:
             assert (r + 1) ** e.denominator > n**e.numerator
 
 
+def brute_eps_z(p, nmax, k):
+    """Z = the k-fold sumset of {F_{2l} mod p : l <= N^(1/(k+2))}, by set sums."""
+    b_cap = 1
+    while (b_cap + 1) ** (k + 2) <= nmax:
+        b_cap += 1
+    base = {fib_mod(2 * l, p) for l in range(1, b_cap + 1)}
+    z = set(base)
+    for _ in range(k - 1):
+        z = brute_fold(base, z, p)
+    return z
+
+
 class TestWaringEpsVerify:
+    @given(st.sampled_from(sieve_primes(300)),
+           st.sampled_from([(3**17, "0.5"), (10**9, "0.5"), (2**40, "0.5"),
+                            (10**12, "0.4")]),
+           st.integers(0, 10**6))
+    def test_witness_is_least_z1(self, p, case, lam):
+        """z1 is the least z in Z with rest - z in Z, and z2 = rest - z1,
+        where rest = lam - x*y for the x and y = L_m of the representation."""
+        nmax, eps = case
+        assume(p <= nmax)
+        try:
+            rep = waring_eps_verify(p, nmax, eps, lam)
+        except ConstructionError:
+            assume(False)
+        z = brute_eps_z(p, nmax, rep.params.k)
+        assert len(z) == rep.set_sizes[2]
+        x = sum(fib_mod(2 * n - 1, p) for n in rep.n_tuple)
+        rest = (lam - x * lucas_mod(rep.m, p)) % p
+        z1 = sum(fib_mod(2 * l, p) for l in rep.z1_tuple) % p
+        z2 = sum(fib_mod(2 * l, p) for l in rep.z2_tuple) % p
+        assert z1 == min(v for v in z if (rest - v) % p in z)
+        assert z2 == (rest - z1) % p
+
     def test_precondition_failure_small_n(self):
         with pytest.raises(ConstructionError):
             waring_eps_verify(97, 10**6, "0.5", 11)

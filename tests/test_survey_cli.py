@@ -322,6 +322,15 @@ class TestCliExitCodes:
         out = capsys.readouterr().out
         assert "|F|=25 |L|=13" in out
 
+    def test_waring_direct_honours_delta(self, capsys):
+        """max_index = ceil(delta sqrt(N)) with --delta, else delta(N)."""
+        assert main(["waring", "--p", "101", "--nmax", "5000", "--mode", "direct",
+                     "--delta", "5.0"]) == 0
+        assert "max_index=354 " in capsys.readouterr().out
+        assert main(["waring", "--p", "101", "--nmax", "5000", "--mode", "direct"]) == 0
+        default = math.ceil(delta_of(5000, SurveyConfig.delta_exponent) * math.sqrt(5000))
+        assert f"max_index={default} " in capsys.readouterr().out
+
     def test_littlewood_pow_mode(self, capsys):
         assert main(["littlewood", "--p", "101", "--nmax", "10",
                      "--base", "2"]) == 0
