@@ -12,7 +12,7 @@ import sys
 from .errors import ConfigError, GuardError, InvariantError
 from .numtheory import is_prime
 from .valueset import SequenceSpec, digit_magnitude, j_total, j_total_pairscan
-from .sumsets import (waring_constructive, waring_eps_verify,
+from .sumsets import (WARING_TERMS, waring_constructive, waring_eps_verify,
                       waring_fib_direct)
 from .expsums import littlewood_fib, littlewood_pow
 from .survey import (PASS_THRESHOLD, SurveyConfig, delta_of, max_index_of, orders_survey,
@@ -28,13 +28,12 @@ class _Parser(argparse.ArgumentParser):
 def parse_sequence_spec(text: str) -> SequenceSpec:
     """Parse 'fib:1..40', 'lucas:2..10', 'fib2:1..9', 'pow:2:1..20',
     'list:1,8,15', or a path to a whitespace-separated integer file."""
-    if os.path.exists(text):
-        with open(text) as fh:
-            vals = [int(tok) for tok in fh.read().split()]
-        return SequenceSpec.explicit(sorted(vals))
     head, _, rest = text.partition(":")
     fam = head.strip().lower()
     try:
+        if os.path.isfile(text):
+            with open(text) as fh:
+                return SequenceSpec.explicit(sorted(int(tok) for tok in fh.read().split()))
         if fam in ("list", "explicit"):
             return SequenceSpec.explicit([int(t) for t in rest.split(",")])
         if fam in ("pow", "power"):
@@ -72,7 +71,6 @@ def _build_parser() -> _Parser:
     sv.add_argument("--delta-exp", type=float, default=SurveyConfig.delta_exponent)
     sv.add_argument("--threads", type=int, default=SurveyConfig.workers)
     sv.add_argument("--vs-delta", type=float, default=SurveyConfig.vs_delta)
-    sv.add_argument("--smax", type=int, default=SurveyConfig.s_max)
     sv.add_argument("--sequence", type=str, default=None,
                     help="override the surveyed block (default fib:1..floor(N^gamma))")
     sv.add_argument("--out", type=str, required=True)
@@ -85,7 +83,6 @@ def _build_parser() -> _Parser:
     wa.add_argument("--mode", choices=("direct", "constructive", "epsilon"),
                     default="direct")
     wa.add_argument("--epsilon", type=str, default="0.5")
-    wa.add_argument("--smax", type=int, default=SurveyConfig.s_max)
     wa.add_argument("--delta", type=float, default=None,
                     help="window factor (default exp((log N)^rho))")
     wa.add_argument("--delta-exp", type=float, default=SurveyConfig.delta_exponent)
@@ -113,10 +110,11 @@ def _build_parser() -> _Parser:
 
 
 def _cmd_survey(args) -> int:
+    if not os.path.isdir(os.path.dirname(args.out) or "."):
+        raise ConfigError(f"--out {args.out!r}: no such directory")
     seq = parse_sequence_spec(args.sequence) if args.sequence else None
     config = SurveyConfig(nmax=args.nmax, gamma=args.gamma, delta_exponent=args.delta_exp,
-                          vs_delta=args.vs_delta, s_max=args.smax,
-                          workers=args.threads, sequence=seq)
+                          vs_delta=args.vs_delta, workers=args.threads, sequence=seq)
     report = run_survey(config)
     write_report(report, args.out, args.format)
     agg = report.aggregates
@@ -151,13 +149,13 @@ def _cmd_waring(args) -> int:
     delta = args.delta if args.delta is not None else delta_of(nmax, args.delta_exp)
     if args.mode == "direct":
         max_index = max_index_of(nmax, delta)
-        cover = waring_fib_direct(p, max_index, args.smax)
+        cover = waring_fib_direct(p, max_index)
         print(f"p={p} max_index={max_index} coverage={list(cover.coverage_sizes)}")
         if cover.covered:
             print(f"every residue mod {p} is a sum of {cover.s_min} "
                   f"Fibonacci numbers with index <= {max_index}")
         else:
-            print(f"not covered within {args.smax} folds")
+            print(f"not covered within {WARING_TERMS} folds")
         return 0
     rep = waring_constructive(p, nmax, delta, args.lam)
     print(f"p={p} lambda={rep.target} |F|={rep.f_size} |L|={rep.l_size}")
@@ -225,7 +223,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)
-    except ConfigError as exc:
+    except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except GuardError as exc:

@@ -25,7 +25,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import ConfigError, GuardError, InvariantError
-from .numtheory import ipow_floor, is_prime, is_primitive_root
+from .numtheory import exact_fraction, ipow_floor, is_prime, is_primitive_root
 from .valueset import ResidueMultiset, SequenceSpec, collision_stats
 
 P_GUARD = 1_000_000
@@ -165,7 +165,7 @@ def littlewood_fib(p: int, nmax: int, gamma: float) -> FibLittlewood:
         raise ConfigError(f"p must be prime, got {p}")
     if p > nmax:
         raise ConfigError("need p <= nmax")
-    g = Fraction(str(gamma)) if isinstance(gamma, float) else Fraction(gamma)
+    g = exact_fraction(gamma)
     if not 0 < g < Fraction(1, 3):
         raise ConfigError(f"gamma must lie in (0, 1/3), got {gamma}")
     seq_len = ipow_floor(nmax, g)
@@ -175,7 +175,7 @@ def littlewood_fib(p: int, nmax: int, gamma: float) -> FibLittlewood:
     if report.l2sq < seq_len * (1 - CHAIN_RTOL):
         raise InvariantError(
             f"L2sq = {report.l2sq!r} below the diagonal bound {seq_len}")
-    return FibLittlewood(p=p, nmax=nmax, gamma=float(gamma), seq_len=seq_len,
+    return FibLittlewood(p=p, nmax=nmax, gamma=float(g), seq_len=seq_len,
                          report=report, ratio=report.l1 / math.sqrt(seq_len))
 
 

@@ -137,6 +137,15 @@ def _iroot(n: int, r: int) -> int:
     return x
 
 
+def exact_fraction(x) -> Fraction:
+    """x as an exact fraction, a float read as the decimal it prints as (0.4
+    is 2/5); malformed, infinite or NaN input is a ConfigError."""
+    try:
+        return Fraction(str(x))
+    except (ValueError, ZeroDivisionError):
+        raise ConfigError(f"expected a finite number, got {x!r}") from None
+
+
 def ipow_floor(n: int, exponent: Fraction) -> int:
     """floor(n ** exponent) exactly, for n >= 1 and exponent >= 0.
 

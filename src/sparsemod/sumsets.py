@@ -4,8 +4,11 @@ Subsets of Z/pZ are bit vectors packed into a single Python integer, so a
 (k+1)-fold sumset is the union over generators v of the k-fold sumset
 cyclically rotated by v -- one shift-or pass per generator, stopping as
 soon as the union covers F_p.  _sumset_layers, the one loop over that fold,
-never folds past a full layer.  On top of that sit three constructions:
+ends at the first full layer, and _decompose_sum, the one witness routine,
+reads every level past it as full.  On top of that sit:
 
+* waring_fib_direct: the least s <= WARING_TERMS = 16 (the paper's 16-term
+  theorem) with every residue a sum of s Fibonacci numbers.
 * glibichuk_check: |A||B| > 2p forces the 8-fold sumset of A*B to be all
   of F_p; checked exactly, with a missing-residue witness on failure.
 * waring_constructive: writes any residue as a sum of 16 Fibonacci numbers
@@ -13,7 +16,7 @@ never folds past a full layer.  On top of that sit three constructions:
   as F_{2(n+m)} + F_{2(n-m)}.
 * waring_eps_verify: the short-index variant; s = 4k indices below N^eps,
   found by solving x*y + z_1 + z_2 = lambda over structured sum sets, with
-  Z + Z as one fold of Z by its own members.
+  Z and Z + Z as the first two sumset layers of Z.
 
 Counting solutions of x y + z_1 + z_2 = lambda exactly (ternary_count)
 supplies the solvability bound behind the eps variant:
@@ -29,8 +32,12 @@ from typing import Iterable, Optional, Union
 import numpy as np
 
 from .errors import ConfigError, ConstructionError, GuardError, InvariantError
-from .numtheory import _iroot, fib_mod
+from .numtheory import _iroot, exact_fraction, fib_mod
 from .valueset import SequenceSpec
+
+# The paper's Waring budget: for almost all p <= N, every residue mod p is
+# a sum of 16 Fibonacci numbers with index <= delta(N) sqrt(N).
+WARING_TERMS = 16
 
 # Largest |X||Y||Z|^2 ternary_count will enumerate.
 TUPLE_GUARD = 10**9
@@ -113,21 +120,23 @@ def _fold_once(bits: int, gens: list[int], p: int) -> int:
 
 
 def _sumset_layers(base: ResidueSet, k: int) -> list[int]:
-    """Bit masks of the j-fold sumsets of base for j = 1..k.  A layer after
-    a full one is full too, so it is appended without folding."""
+    """Bit masks of the j-fold sumsets of base for j = 1..k, ending at the
+    first full layer: every layer after it is full too."""
     p, gens = base.p, list(base)
     full = (1 << p) - 1
     layers = [base.bits]
     while len(layers) < k and layers[-1] != full:
         layers.append(_fold_once(layers[-1], gens, p))
-    return layers + [full] * (k - len(layers))
+    return layers
 
 
-def _decompose_sum(target: int, layers: list[int], gens: list[int], p: int) -> list[int]:
-    """Greedy witness extraction: split target into len(layers) generators,
-    taking the smallest feasible generator at each level."""
-    picks = []
-    t = target % p
+def _decompose_sum(target: int, layers: list[int], gens: list[int], p: int,
+                   terms: int) -> list[int]:
+    """Greedy witness extraction: split target into terms >= len(layers)
+    generators, the smallest feasible one at each level.  A level past the
+    last layer has a full layer below it, so it takes gens[0]."""
+    picks = [gens[0]] * (terms - len(layers))
+    t = (target - gens[0] * len(picks)) % p
     for j in range(len(layers) - 1, 0, -1):
         for v in gens:
             if (layers[j - 1] >> ((t - v) % p)) & 1:
@@ -146,8 +155,8 @@ def _decompose_sum(target: int, layers: list[int], gens: list[int], p: int) -> l
 class CoverResult:
     """Growth of the k-fold sumsets of a generating set.
 
-    coverage_sizes[j-1] = |j-fold sumset| up to the first full fold (or
-    s_max); s_min is the first fold reaching all of F_p, None if not
+    coverage_sizes[j-1] = |j-fold sumset| up to the first full fold or the
+    fold budget; s_min is the first fold reaching all of F_p, None if not
     reached within the budget, and missing_residue the smallest residue
     outside the last fold computed (None when covered).
     """
@@ -178,10 +187,9 @@ def k_fold_sumset(v: ResidueSet, k: int) -> CoverResult:
         raise ConfigError("empty generating set")
     p = v.p
     layers = _sumset_layers(v, k)
-    full = (1 << p) - 1
-    s_min = layers.index(full) + 1 if layers[-1] == full else None
+    s_min = len(layers) if layers[-1] == (1 << p) - 1 else None
     return CoverResult(p=p, s_min=s_min,
-                       coverage_sizes=tuple(s.bit_count() for s in layers[:s_min]),
+                       coverage_sizes=tuple(s.bit_count() for s in layers),
                        missing_residue=ResidueSet(p, layers[-1]).missing_residue())
 
 
@@ -218,10 +226,11 @@ def fib_residue_set(p: int, max_index: int) -> ResidueSet:
     return ResidueSet.from_iterable(p, SequenceSpec.fibonacci(1, max_index).residues(p))
 
 
-def waring_fib_direct(p: int, max_index: int, s_max: int = 16) -> CoverResult:
-    """Smallest s <= s_max such that every residue mod p is a sum of s
-    Fibonacci numbers with indices <= max_index."""
-    return k_fold_sumset(fib_residue_set(p, max_index), s_max)
+def waring_fib_direct(p: int, max_index: int, terms: int = WARING_TERMS) -> CoverResult:
+    """Smallest s <= terms such that every residue mod p is a sum of s
+    Fibonacci numbers with indices <= max_index; the paper's budget is
+    WARING_TERMS = 16."""
+    return k_fold_sumset(fib_residue_set(p, max_index), terms)
 
 
 @dataclass(frozen=True)
@@ -257,8 +266,8 @@ def waring_constructive(p: int, nmax: int, delta: float, lam: int) -> WaringRepr
     """
     if p < 2 or p > nmax:
         raise ConfigError("need 2 <= p <= nmax")
-    if delta <= 0:
-        raise ConfigError("delta must be positive")
+    if not (delta > 0 and math.isfinite(delta)):
+        raise ConfigError(f"delta must be positive and finite, got {delta}")
     root = math.sqrt(nmax)
     n_lo = math.floor(delta * root / 10)
     n_hi = math.floor(delta * root / 5)
@@ -290,7 +299,7 @@ def waring_constructive(p: int, nmax: int, delta: float, lam: int) -> WaringRepr
         raise InvariantError(
             f"8-fold sumset misses residues at p={p} despite |F||L| > 2p")
     target = lam % p
-    picks = _decompose_sum(target, layers, gens, p)
+    picks = _decompose_sum(target, layers, gens, p, 8)
     pairs = tuple(prod_wit[u] for u in picks)
     if any(n < m for n, m in pairs):
         raise ConstructionError(
@@ -372,17 +381,9 @@ class WaringEpsParams:
     s: int
 
 
-def _as_fraction(x: Union[int, float, str, Fraction]) -> Fraction:
-    # Floats are read as the decimal literal they print as, so 0.4 means
-    # 2/5 and threshold arithmetic stays exact.
-    if isinstance(x, float):
-        return Fraction(str(x))
-    return Fraction(x)
-
-
 def waring_eps_params(eps: Union[float, str, Fraction]) -> WaringEpsParams:
     """Term count for the short-index representation at quality eps."""
-    e = _as_fraction(eps)
+    e = exact_fraction(eps)
     if not 0 < e <= Fraction(1, 2):
         raise ConfigError(f"eps must lie in (0, 1/2], got {eps}")
     k = math.floor(8 / e) - 1
@@ -418,8 +419,9 @@ def waring_eps_verify(p: int, nmax: int, eps: Union[float, str, Fraction],
     solvability precondition |X||Y||Z|^2 > p^3 guarantees a solution of
     x y + z1 + z2 = lam; the product L_m F_{2n-1} = F_{m+2n-1} + F_{m-2n+1}
     turns it into 4k Fibonacci terms.  Search order is deterministic
-    (ascending m, then ascending x, with least-index witnesses).  Z + Z is
-    one fold of Z by its own members, and z1 the least z in Z with rest - z in Z.
+    (ascending m, then ascending x, with least-index witnesses).  Z and
+    Z + Z are the first two sumset layers of Z, and z1 the least z in Z
+    with rest - z in Z.
     """
     if not 2 <= p <= nmax:
         raise ConfigError("need 2 <= p <= nmax")
@@ -456,25 +458,23 @@ def waring_eps_verify(p: int, nmax: int, eps: Union[float, str, Fraction],
             f"|X||Y||Z|^2 = {sx}*{sy}*{sz}^2 <= p^3 = {p**3}: "
             "solvability not guaranteed at these sizes")
 
-    z_bits = layers_z[-1]
-    z_res = list(ResidueSet(p, z_bits))
-    zz = _fold_once(z_bits, z_res, p)   # Z + Z
+    z_set = ResidueSet(p, layers_z[-1])
+    layers_zz = _sumset_layers(z_set, 2)   # Z, Z + Z
 
     target = lam % p
     x_res = list(ResidueSet(p, layers_x[-1]))
     for yv, m in y_wit.items():   # ascending m
         for xv in x_res:
             rest = (target - xv * yv) % p
-            if not (zz >> rest) & 1:
+            if not (layers_zz[-1] >> rest) & 1:
                 continue
-            z1 = next(z for z in z_res if (z_bits >> ((rest - z) % p)) & 1)
-            z2 = (rest - z1) % p
+            z1, z2 = _decompose_sum(rest, layers_zz, list(z_set), p, 2)
             n_tuple = tuple(sorted(x_idx[r] for r in
-                                   _decompose_sum(xv, layers_x, gens_x, p)))
+                                   _decompose_sum(xv, layers_x, gens_x, p, k)))
             z1_tuple = tuple(sorted(z_idx[r] for r in
-                                    _decompose_sum(z1, layers_z, gens_z, p)))
+                                    _decompose_sum(z1, layers_z, gens_z, p, k)))
             z2_tuple = tuple(sorted(z_idx[r] for r in
-                                    _decompose_sum(z2, layers_z, gens_z, p)))
+                                    _decompose_sum(z2, layers_z, gens_z, p, k)))
             indices = []
             for n in n_tuple:
                 indices.extend((m + 2 * n - 1, m - 2 * n + 1))

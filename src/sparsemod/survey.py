@@ -15,24 +15,19 @@ import io
 import json
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from multiprocessing import Pool
 from typing import Optional
 
 from .errors import ConfigError, GuardError, InvariantError
-from .numtheory import PrimeRecord, ipow_floor, prime_record, sieve_primes
+from .numtheory import PrimeRecord, exact_fraction, ipow_floor, prime_record, sieve_primes
 from .valueset import ResidueMultiset, SequenceSpec, collision_stats
-from .sumsets import waring_fib_direct
+from .sumsets import WARING_TERMS, waring_fib_direct
 from .expsums import norm_report
 
-SCHEMA = "sparsemod-survey-v3"
+SCHEMA = "sparsemod-survey-v4"
 
 # Share of rows each headline fraction must reach for headline_ok.
 PASS_THRESHOLD = 0.9
-
-CSV_COLUMNS = ("p", "t_p", "z_p", "legendre5", "waring_s_min",
-               "waring_max_index", "l1", "l2sq", "energy", "l1_ratio",
-               "vs_size", "vs_distinct", "status")
 
 
 def delta_of(nmax: int, rho: float) -> float:
@@ -44,6 +39,8 @@ def delta_of(nmax: int, rho: float) -> float:
 
 def max_index_of(nmax: int, delta: float) -> int:
     """The Waring cover's largest Fibonacci index, ceil(delta sqrt(N))."""
+    if not (delta > 0 and math.isfinite(delta)):
+        raise ConfigError(f"delta must be positive and finite, got {delta}")
     return math.ceil(delta * math.sqrt(nmax))
 
 
@@ -53,7 +50,6 @@ class SurveyConfig:
     gamma: float = 0.3
     delta_exponent: float = 0.4   # rho in delta(N) = exp((log N)^rho)
     vs_delta: float = 10.0        # value-set deviation tolerance 1/vs_delta
-    s_max: int = 16
     workers: int = 1
     sequence: Optional[SequenceSpec] = None  # default: fibonacci 1..floor(N^gamma)
 
@@ -62,19 +58,17 @@ class SurveyConfig:
             raise ConfigError("need nmax >= 2")
         if not 0 < self.gamma < 1 / 3:
             raise ConfigError("gamma must lie in (0, 1/3)")
-        if self.delta_exponent <= 0 or self.delta_exponent >= 1:
+        if not 0 < self.delta_exponent < 1:
             raise ConfigError("delta_exponent must lie in (0, 1)")
-        if self.vs_delta <= 0:
-            raise ConfigError("vs_delta must be positive")
-        if self.s_max < 1:
-            raise ConfigError("s_max must be >= 1")
+        if not (self.vs_delta > 0 and math.isfinite(self.vs_delta)):
+            raise ConfigError("vs_delta must be positive and finite")
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
 
     def resolved_sequence(self) -> SequenceSpec:
         if self.sequence is not None:
             return self.sequence
-        hi = ipow_floor(self.nmax, Fraction(str(self.gamma)))
+        hi = ipow_floor(self.nmax, exact_fraction(self.gamma))
         return SequenceSpec.fibonacci(1, max(1, hi))
 
     def waring_max_index(self) -> int:
@@ -98,6 +92,9 @@ class SurveyRow:
     status: str
 
 
+CSV_COLUMNS = tuple(f.name for f in dataclasses.fields(SurveyRow))
+
+
 @dataclass(frozen=True)
 class SurveyReport:
     schema: str
@@ -106,17 +103,17 @@ class SurveyReport:
     aggregates: dict
 
 
-def _survey_row(args: tuple[int, SequenceSpec, int, int]) -> SurveyRow:
+def _survey_row(args: tuple[int, SequenceSpec, int]) -> SurveyRow:
     """One prime's row.  Every stage runs under one try: a stage that fails
     marks the row's status and leaves its own and all later fields empty."""
-    p, seq, max_index, s_max = args
+    p, seq, max_index = args
     status = "ok" if p != 2 else "partial:t_p"
     t_p = z_p = leg5 = s_min = l1 = l2sq = energy = ratio = None
     vs_size = vs_distinct = None
     try:
         rec = prime_record(p)
         t_p, z_p, leg5 = rec.t_p, rec.z_p, rec.legendre5
-        s_min = waring_fib_direct(p, max_index, s_max).s_min
+        s_min = waring_fib_direct(p, max_index, WARING_TERMS).s_min
         ms = ResidueMultiset.from_spec(seq, p)
         stats = collision_stats(ms)
         vs_size, vs_distinct = stats.size, stats.distinct
@@ -137,13 +134,10 @@ def _aggregate(rows: tuple[SurveyRow, ...], config: SurveyConfig) -> dict:
     n = len(rows)
     if n == 0:
         return {"rows": 0}
-    cut = Fraction(1) / Fraction(str(config.vs_delta))
-    vs_ok = [Fraction(r.vs_size - r.vs_distinct, r.vs_size) <= cut
+    d = exact_fraction(config.vs_delta)   # deviation <= 1/d, exactly
+    vs_ok = [(r.vs_size - r.vs_distinct) * d <= r.vs_size
              for r in rows if r.vs_size]
-    # 16 is the paper's 16-term theorem that waring16_fraction names, not
-    # s_max: a larger s_max may cover more primes but never counts here.
-    waring16 = [r.waring_s_min is not None and r.waring_s_min <= 16
-                for r in rows]
+    waring16 = [r.waring_s_min is not None for r in rows]
     chain_ok = [not r.status.startswith("invariant") for r in rows]
     ratios = [r.l1_ratio for r in rows if r.l1_ratio is not None]
     agg = {
@@ -166,7 +160,7 @@ def run_survey(config: SurveyConfig) -> SurveyReport:
     seq = config.resolved_sequence()
     max_index = config.waring_max_index()
     primes = sieve_primes(config.nmax)
-    jobs = [(p, seq, max_index, config.s_max) for p in primes]
+    jobs = [(p, seq, max_index) for p in primes]
     if config.workers > 1 and len(jobs) > 1:
         with Pool(config.workers) as pool:
             rows = tuple(pool.map(_survey_row, jobs, chunksize=32))
@@ -188,9 +182,9 @@ class OrdersReport:
 def orders_survey(nmax: int, threshold_exponent: float = 0.5) -> OrdersReport:
     """How often are z(p) and ord_p(2) large? Exact boundary comparisons:
     z > p^(a/b) is tested as z^b > p^a."""
-    if threshold_exponent < 0:
+    thr = exact_fraction(threshold_exponent)
+    if thr < 0:
         raise ConfigError("threshold must be >= 0")
-    thr = Fraction(str(threshold_exponent))
     primes = sieve_primes(nmax)
     if not primes:
         raise ConfigError(f"no primes <= {nmax}")
@@ -201,7 +195,7 @@ def orders_survey(nmax: int, threshold_exponent: float = 0.5) -> OrdersReport:
 
     t_rows = [r for r in rows if r.t_p is not None]
     return OrdersReport(
-        nmax=nmax, threshold_exponent=float(threshold_exponent), rows=rows,
+        nmax=nmax, threshold_exponent=float(thr), rows=rows,
         z_fraction=sum(large(r.z_p, r.p) for r in rows) / len(rows),
         t_fraction=(sum(large(r.t_p, r.p) for r in t_rows) / len(t_rows)
                     if t_rows else None))
@@ -223,9 +217,7 @@ def survey_csv(report: SurveyReport) -> str:
     w.writerow(CSV_COLUMNS)
     for r in report.rows:
         w.writerow(["" if v is None else repr(v) if isinstance(v, float) else v
-                    for v in (r.p, r.t_p, r.z_p, r.legendre5, r.waring_s_min,
-                              r.waring_max_index, r.l1, r.l2sq, r.energy,
-                              r.l1_ratio, r.vs_size, r.vs_distinct, r.status)])
+                    for v in dataclasses.astuple(r)])
     return buf.getvalue()
 
 

@@ -12,11 +12,10 @@ differences, giving an independent oracle with exact integer arithmetic.
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
 from .errors import ConfigError, GuardError
-from .numtheory import INDEX_CAP, fib_pair_mod, sieve_primes
+from .numtheory import INDEX_CAP, exact_fraction, fib_pair_mod, sieve_primes
 
 FAMILIES = ("fibonacci", "lucas", "fibonacci-even", "power", "explicit")
 
@@ -293,21 +292,21 @@ def value_set_survey(spec: SequenceSpec, nmax: int, delta: float) -> ValueSetSur
     """Per-prime deviation (size - distinct)/size, and the fraction of
     primes p <= N within 1/delta.  The boundary comparison is done in
     exact rational arithmetic (ties count as within)."""
-    if delta <= 0:
+    d = exact_fraction(delta)
+    if d <= 0:
         raise ConfigError("delta must be positive")
-    cut = Fraction(1) / Fraction(str(delta))
     rows = []
     hits = 0
     for p in sieve_primes(nmax):
         ms = ResidueMultiset.from_spec(spec, p)
         size, distinct = ms.total, len(ms.counts)
-        if Fraction(size - distinct, size) <= cut:
+        if (size - distinct) * d <= size:   # deviation <= 1/delta
             hits += 1
         rows.append(ValueSetRow(p=p, size=size, distinct=distinct,
                                 deviation=(size - distinct) / size))
     if not rows:
         raise ConfigError(f"no primes <= {nmax}")
-    return ValueSetSurvey(rows=tuple(rows), delta=float(delta),
+    return ValueSetSurvey(rows=tuple(rows), delta=float(d),
                           fraction=hits / len(rows))
 
 

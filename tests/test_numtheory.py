@@ -1,6 +1,8 @@
 """Primality, Fibonacci/Lucas modular arithmetic, orders, and per-prime records."""
 
+import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -23,6 +25,7 @@ from sparsemod import (
 from sparsemod.numtheory import (
     INDEX_CAP,
     MODULUS_CAP,
+    exact_fraction,
     fib_pair_mod,
     mult_order_scan,
     order_of_appearance_scan,
@@ -146,6 +149,21 @@ class TestFactoring:
         assert prime_factors(97) == [97]
         assert prime_factors(2**6 * 5**6) == [2, 5]
 
+
+
+class TestExactFraction:
+    def test_reads_decimals_exactly(self):
+        assert exact_fraction(0.4) == Fraction(2, 5)
+        assert exact_fraction(0.3) == Fraction(3, 10)
+        assert exact_fraction("1/3") == Fraction(1, 3)
+        assert exact_fraction(Fraction(2, 7)) == Fraction(2, 7)
+        assert exact_fraction(5) == 5
+
+    @pytest.mark.parametrize("bad", ["abc", "nan", "inf", "1/0", "",
+                                     math.nan, math.inf, -math.inf])
+    def test_rejects_malformed_and_non_finite(self, bad):
+        with pytest.raises(ConfigError):
+            exact_fraction(bad)
 
 
 class TestLegendre:

@@ -82,6 +82,18 @@ def covering_generators(draw):
     return p, sorted(gens)
 
 
+def padded_greedy(target, layers, gens, p):
+    """Witness oracle: split target into len(layers) generators, taking the
+    smallest v at each level whose remainder lies in the layer below."""
+    picks, t = [], target % p
+    for j in range(len(layers) - 1, 0, -1):
+        v = next(v for v in gens if (layers[j - 1] >> ((t - v) % p)) & 1)
+        picks.append(v)
+        t = (t - v) % p
+    assert (layers[0] >> t) & 1
+    return picks + [t]
+
+
 def first_index_oracle(value, lo, hi):
     """(residue, least i in lo..hi with value(i) = residue), ascending in i,
     from one independent evaluation per index."""
@@ -168,9 +180,9 @@ class TestFoldOnce:
 
     @given(covering_generators(), st.integers(0, 10**6))
     def test_layers_stay_full_and_decompose(self, case, target):
-        """Each of 8 layers equals the brute j-fold sumset, every layer after
-        the first full one is the full mask, and a witness splits any target
-        into 8 generators."""
+        """Each layer equals the brute j-fold sumset, the layers end at the
+        first full one (within 8, as the generators cover by then), and a
+        witness still splits any target into 8 generators."""
         p, gens = case
         layers = _sumset_layers(ResidueSet.from_iterable(p, gens), 8)
         g = np.array(gens)
@@ -179,14 +191,26 @@ class TestFoldOnce:
             assert layer == to_mask(cur.tolist())
             cur = np.unique((cur[:, None] + g[None, :]) % p)   # all pair sums
         full = (1 << p) - 1
-        first = layers.index(full)
-        assert all(layer == full for layer in layers[first:])
-        picks = _decompose_sum(target, layers, gens, p)
+        assert 1 <= len(layers) <= 8 and layers.index(full) == len(layers) - 1
+        picks = _decompose_sum(target, layers, gens, p, 8)
         assert len(picks) == 8 and set(picks) <= set(gens)
         assert sum(picks) % p == target % p
 
+    @given(covering_generators(), st.integers(1, 16), st.integers(0, 10**6))
+    @example((7, [0, 1, 2, 3]), 16, 5)     # 14 levels past the last layer
+    @example((5, [1, 2]), 2, 0)           # layers end before they cover
+    def test_decompose_matches_padded_greedy(self, case, k, raw):
+        """On the unpadded layers the witness is the one the greedy picked
+        on layers padded to k with the full mask."""
+        p, gens = case
+        layers = _sumset_layers(ResidueSet.from_iterable(p, gens), k)
+        reachable = list(ResidueSet(p, layers[-1]))
+        target = reachable[raw % len(reachable)]
+        assert _decompose_sum(target, layers, gens, p, k) == padded_greedy(
+            target, layers + [(1 << p) - 1] * (k - len(layers)), gens, p)
+
     def test_layers_never_fold_past_a_full_layer(self, monkeypatch):
-        """Once a layer is full the rest are appended without folding."""
+        """The layers end at the first full one: nothing is folded past it."""
         calls = []
 
         def counting_fold(bits, gens, p):
@@ -195,11 +219,19 @@ class TestFoldOnce:
 
         monkeypatch.setattr(sumsets, "_fold_once", counting_fold)
         base = ResidueSet.from_iterable(7, [0, 1, 2, 3])   # 2G = F_7
-        assert _sumset_layers(base, 8) == [0b1111] + [0b1111111] * 7
+        assert _sumset_layers(base, 8) == [0b1111, 0b1111111]
         assert calls == [0b1111]
         cover = k_fold_sumset(base, 16)
         assert (cover.s_min, cover.coverage_sizes) == (2, (4, 7))
         assert len(calls) == 2
+
+    def test_huge_budget_costs_nothing_once_covered(self):
+        """A fold budget far past the covering layer adds no layers, so its
+        size costs neither time nor memory."""
+        base = ResidueSet.from_iterable(7, [0, 1, 2, 3])
+        assert len(_sumset_layers(base, 10**7)) == 2
+        cover = waring_fib_direct(101, 746, 10**7)
+        assert (cover.s_min, cover.coverage_sizes) == (2, (35, 101))
 
 
 class TestProductSet:

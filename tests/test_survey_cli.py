@@ -1,6 +1,5 @@
 """Survey rows and aggregates, report serialization, and the CLI contract."""
 
-import dataclasses
 import json
 import math
 import subprocess
@@ -27,7 +26,7 @@ from sparsemod import (
     write_report,
 )
 from sparsemod.cli import main, parse_sequence_spec
-from sparsemod.survey import CSV_COLUMNS, _aggregate, delta_of
+from sparsemod.survey import CSV_COLUMNS, delta_of
 from sparsemod.valueset import ResidueMultiset
 
 
@@ -114,21 +113,13 @@ class TestRunSurvey:
         assert by_p[2].t_p is None
         assert all(r.status == "ok" for r in rep.rows if r.p != 2)
 
-    def test_waring16_counts_the_16_term_theorem_not_s_max(self):
-        """waring16_fraction counts s_min <= 16 whatever s_max allows."""
-        rows = run_survey(SurveyConfig(nmax=5)).rows   # p = 2, 3, 5
-        rows = tuple(dataclasses.replace(r, waring_s_min=s)
-                     for r, s in zip(rows, (18, 16, None)))
-        agg = _aggregate(rows, SurveyConfig(nmax=5, s_max=20))
-        assert agg["waring16_fraction"] == 1 / 3
-
 
 class TestSerialization:
     def test_csv_shape(self):
         rep = run_survey(SurveyConfig(nmax=100))
         text = survey_csv(rep)
         lines = text.splitlines()
-        assert lines[0] == "# sparsemod-survey-v3"
+        assert lines[0] == "# sparsemod-survey-v4"
         assert lines[1] == ",".join(CSV_COLUMNS)
         assert len(lines) == 2 + len(rep.rows)
         assert text.endswith("\n")
@@ -136,7 +127,7 @@ class TestSerialization:
     def test_json_round_trip(self):
         rep = run_survey(SurveyConfig(nmax=100))
         payload = json.loads(survey_json(rep))
-        assert payload["schema"] == "sparsemod-survey-v3"
+        assert payload["schema"] == "sparsemod-survey-v4"
         assert len(payload["rows"]) == len(rep.rows)
         assert payload["config"]["nmax"] == 100
         assert "epsilon" not in payload["config"]
@@ -307,6 +298,16 @@ class TestCliExitCodes:
                      "--out", str(out), "--format", "json"]) == 1
         assert not out.exists()
 
+    def test_smax_flag_is_gone(self, tmp_path, capsys):
+        """The Waring budget is the paper's 16, not a flag or a config key."""
+        out = tmp_path / "r.json"
+        assert main(["survey", "--nmax", "100", "--smax", "20",
+                     "--out", str(out), "--format", "json"]) == 1
+        assert not out.exists()
+        assert main(["waring", "--p", "101", "--smax", "5"]) == 1
+        assert main(["survey", "--nmax", "100", "--out", str(out), "--format", "json"]) == 0
+        assert "s_max" not in json.loads(out.read_text())["config"]
+
     def test_jcount_oracle(self, capsys):
         code = main(["jcount", "--values", "list:1,2,3", "--nmax", "5",
                      "--oracle"])
@@ -350,3 +351,66 @@ class TestCliSubprocess:
             assert r.returncode == 0, r.stderr
             outs.append(path.read_bytes())
         assert outs[0] == outs[1]
+
+
+class TestCliBadInput:
+    """Malformed numbers and unusable paths exit 1 with an `error:` line;
+    main() raising instead would fail the test with the traceback."""
+
+    @staticmethod
+    def assert_config_error(argv, capsys):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ["survey", "--nmax", "100", "--vs-delta", "nan"],
+        ["survey", "--nmax", "100", "--vs-delta", "inf"],
+        ["survey", "--nmax", "100", "--delta-exp", "nan"],
+        ["survey", "--nmax", "100", "--out", "missing_dir/x.csv"],
+    ])
+    def test_survey_rejects_before_any_row(self, argv, tmp_path, monkeypatch, capsys):
+        import sparsemod.survey as survey_mod
+
+        def no_rows(job):
+            raise AssertionError("a survey row ran")
+
+        monkeypatch.setattr(survey_mod, "_survey_row", no_rows)
+        monkeypatch.chdir(tmp_path)
+        if "--out" not in argv:
+            argv = argv + ["--out", "r.csv"]
+        self.assert_config_error(argv + ["--format", "csv"], capsys)
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv", [
+        ["waring", "--p", "97", "--nmax", "129140163", "--mode", "epsilon",
+         "--epsilon", "abc"],
+        ["waring", "--p", "97", "--nmax", "129140163", "--mode", "epsilon",
+         "--epsilon", "nan"],
+        ["waring", "--p", "97", "--nmax", "129140163", "--mode", "epsilon",
+         "--epsilon", "1/0"],
+        ["waring", "--p", "101", "--nmax", "5000", "--mode", "constructive",
+         "--delta", "nan"],
+        ["waring", "--p", "101", "--nmax", "5000", "--mode", "constructive",
+         "--delta", "inf"],
+        ["waring", "--p", "101", "--nmax", "5000", "--mode", "direct",
+         "--delta", "nan"],
+        ["littlewood", "--p", "997", "--nmax", "997", "--gamma", "nan"],
+        ["orders", "--nmax", "100", "--threshold", "nan"],
+    ])
+    def test_non_finite_numbers(self, argv, capsys):
+        self.assert_config_error(argv, capsys)
+
+    def test_sequence_file_with_a_non_integer(self, tmp_path, capsys):
+        f = tmp_path / "vals.txt"
+        f.write_text("1 2 x\n")
+        self.assert_config_error(["jcount", "--values", str(f), "--nmax", "10"], capsys)
+
+    def test_directory_as_values(self, tmp_path, capsys):
+        self.assert_config_error(["jcount", "--values", str(tmp_path), "--nmax", "10"],
+                                 capsys)
+
+    def test_unwritable_report_path(self, tmp_path, capsys):
+        """An --out that names a directory fails at the write, as an OSError."""
+        self.assert_config_error(["survey", "--nmax", "50", "--out", str(tmp_path),
+                                  "--format", "csv"], capsys)
