@@ -3,12 +3,14 @@
 For a residue multiset with counts c_r put S(a) = sum_r c_r e(a r / p).
 norm_report returns L1 = (1/p) sum |S|, L2sq = (1/p) sum |S|^2 and the
 additive energy T = (1/p) sum |S|^4.  Only L1 is computed in floats: the
-count vector is real, so |S(p - a)| = |S(a)|, and one real FFT gives every
-modulus, summed with exact-rounding compensated summation (math.fsum).
-L2sq = sum_r c_r^2 is the collision count (Parseval) and T = sum_s r(s)^2,
-with r(s) = sum_{x+y=s} c_x c_y, the number of index quadruples with
-x_a + x_b = x_c + x_d; both are exact integers, T tallied over the K^2
-pair sums of the K-residue support.  Chain facts are enforced as
+count vector is real, so |S(p - a)| = |S(a)| and only a = 1..p//2 is
+evaluated.  For a K-residue support those S(a) come from one
+baby-step/giant-step product, about K sqrt(p) phases and one complex
+matrix product, and the moduli are summed exactly (_exact_sum, equal to
+math.fsum).  L2sq = sum_r c_r^2 is the collision count (Parseval) and
+T = sum_s r(s)^2, with r(s) = sum_{x+y=s} c_x c_y, the number of index
+quadruples with x_a + x_b = x_c + x_d; both are exact integers, T tallied
+over the K^2 pair sums of the support.  Chain facts are enforced as
 postconditions, not just tests:
 
     L1^2 <= L2sq               (Cauchy-Schwarz)
@@ -31,7 +33,7 @@ from .valueset import ResidueMultiset, SequenceSpec, collision_stats
 P_GUARD = 1_000_000
 SIZE_GUARD = 100_000
 CHAIN_RTOL = 1e-6
-CHUNK = 4_000_000   # elements per temporary (pair-sum or gather) block
+CHUNK = 4_000_000   # elements per temporary (pair-sum, phase or gather) block
 
 
 @dataclass(frozen=True)
@@ -46,15 +48,69 @@ class NormReport:
     karatsuba_lb: float
 
 
-def _l1_rfft(ms: ResidueMultiset) -> float:
-    """(1/p) sum_a |S(a)| from the half-spectrum of the real count vector:
-    a and p - a share one modulus, and a = p/2 (p = 2 only) has no partner."""
+MANT_BITS = 26     # low half of a 53-bit mantissa in _exact_sum
+
+
+def _exact_sum(x: np.ndarray) -> float:
+    """The correctly rounded sum of a finite float64 array (math.fsum's
+    result; OverflowError when it exceeds the float range).
+
+    Each x = M 2^(e - 53) with an integer-valued |M| < 2^53, split exactly
+    in floats as M = hi 2^26 + lo.  Both halves are tallied per exponent e
+    by bincount, whose partial sums stay exact integers below 2^53 for
+    fewer than 2^26 terms; one Python int / int division then rounds
+    once."""
+    if len(x) >= 1 << MANT_BITS:
+        raise GuardError(f"{len(x)} terms exceed the exact-sum guard 2^{MANT_BITS}")
+    if not len(x):
+        return 0.0
+    mant, exp = np.frexp(x)
+    hi = np.floor(np.ldexp(mant, 53 - MANT_BITS))
+    lo = np.ldexp(mant, 53) - np.ldexp(hi, MANT_BITS)
+    e0 = int(exp.min())
+    hi_sums = np.bincount(exp - e0, weights=hi).tolist()
+    lo_sums = np.bincount(exp - e0, weights=lo).tolist()
+    num = 0
+    for h, l in zip(reversed(hi_sums), reversed(lo_sums)):  # Horner in 2^e
+        num = (num << 1) + (int(h) << MANT_BITS) + int(l)
+    shift = e0 - 53                                  # num counts units of 2^shift
+    return num / (1 << -shift) if shift < 0 else float(num << shift)
+
+
+def _half_moduli(ms: ResidueMultiset) -> np.ndarray:
+    """|S(a)| for a = 1..p//2, by a baby-step/giant-step product.
+
+    With B = ceil(sqrt(m)), m = p // 2, and a = a0 + t, a0 in
+    {0, B, 2B, ...} and t = 1..B, the block of S values is
+    (c e(a0 r/p)) @ e(t r/p)^T.  The products a0 r and t r are reduced mod
+    p in int64 (p <= P_GUARD keeps p^2 exact), so every phase angle lies in
+    [0, 2 pi).  The support is taken in slices of at most CHUNK phases, so
+    memory stays bounded on wide supports."""
     p = ms.p
-    counts = np.bincount(list(ms.counts), weights=list(ms.counts.values()),
-                         minlength=p)
-    mod = np.abs(np.fft.rfft(counts)).tolist()
-    total = mod[0] + 2 * math.fsum(mod[1 : (p + 1) // 2])
-    return (total + mod[-1] if p % 2 == 0 else total) / p
+    m = p // 2
+    support = np.fromiter(ms.counts, dtype=np.int64)
+    weights = np.fromiter(ms.counts.values(), dtype=np.float64)
+    b = math.isqrt(m - 1) + 1
+    giant = np.arange(0, m, b, dtype=np.int64)[:, None]
+    baby = np.arange(1, b + 1, dtype=np.int64)[:, None]
+    scale = 2j * np.pi / p
+    step = max(1, CHUNK // (len(giant) + b))
+    for lo in range(0, len(support), step):
+        r = support[lo : lo + step]
+        block = ((weights[lo : lo + step] * np.exp(scale * (giant * r % p)))
+                 @ np.exp(scale * (baby * r % p)).T)
+        s = s + block if lo else block
+    return np.abs(s.ravel()[:m])
+
+
+def _l1_geometric(ms: ResidueMultiset) -> float:
+    """(1/p) sum_a |S(a)|: S(0) is the total, a and p - a share one
+    modulus, and a = p/2 (p even) has no partner, so it is halved before
+    the doubled sum."""
+    mod = _half_moduli(ms)
+    if ms.p % 2 == 0:
+        mod[-1] *= 0.5
+    return (ms.total + 2 * _exact_sum(mod)) / ms.p
 
 
 def _pair_sum_energy(ms: ResidueMultiset) -> int:
@@ -93,13 +149,14 @@ def _check_chain(l1: float, l2sq: float, energy: int, kara: float,
 
 
 def norm_report(ms: ResidueMultiset) -> NormReport:
-    """L1 from one real FFT; L2sq and the energy as exact integer counts."""
+    """L1 from one baby-step/giant-step product, summed exactly; L2sq and
+    the energy as exact integer counts."""
     if ms.total < 1:
         raise ConfigError("empty multiset")
     if ms.p > P_GUARD:
         raise GuardError(f"p = {ms.p} exceeds the guard {P_GUARD}")
     p = ms.p
-    l1 = _l1_rfft(ms)
+    l1 = _l1_geometric(ms)
     collisions = collision_stats(ms).collisions
     l2sq = float(collisions)
     energy = _pair_sum_energy(ms)
@@ -110,7 +167,8 @@ def norm_report(ms: ResidueMultiset) -> NormReport:
 
 
 def l1_full_scan(ms: ResidueMultiset) -> float:
-    """L1 by a direct DFT at every a: the oracle for norm_report's FFT."""
+    """L1 by a direct DFT at every a: the oracle for norm_report's
+    baby-step/giant-step kernel."""
     if ms.total < 1:
         raise ConfigError("empty multiset")
     if ms.p > P_GUARD:

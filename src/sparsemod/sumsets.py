@@ -42,6 +42,9 @@ WARING_TERMS = 16
 # Largest |X||Y||Z|^2 ternary_count will enumerate.
 TUPLE_GUARD = 10**9
 
+# Largest p whose residue products (p - 1)^2 stay exact in int64.
+PRODUCT_GUARD = math.isqrt(2**63 - 1)
+
 # Generators a fold shifts in between two checks of its union against the
 # full mask; a check costs about as much as one shift-or.
 FOLD_CHECK_EVERY = 16
@@ -85,7 +88,9 @@ class ResidueSet:
         """The members in ascending order, as Python ints."""
         raw = np.frombuffer(self.bits.to_bytes((self.p + 7) // 8, "little"),
                             dtype=np.uint8)
-        return iter(np.flatnonzero(np.unpackbits(raw, bitorder="little")).tolist())
+        # unpackbits yields only 0 and 1, so the bool view is exact
+        bits = np.unpackbits(raw, bitorder="little").view(bool)
+        return iter(np.flatnonzero(bits).tolist())
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, ResidueSet)
@@ -255,6 +260,27 @@ def _first_index(residues: Iterable[int], start: int) -> dict[int, int]:
     return wit
 
 
+def _product_witnesses(f_wit: dict[int, int], l_wit: dict[int, int],
+                        p: int) -> dict[int, tuple[int, int]]:
+    """Each product residue F L mod p -> its witness (n, m): the first pair
+    in (F, L) insertion order with n >= m, so that both Fibonacci indices
+    in the rewrite are nonnegative, else the first pair.
+
+    One int64 key per pair, its flat index plus |F||L| when n < m, and the
+    least key per residue is the witness."""
+    fr = np.fromiter(f_wit, dtype=np.int64)
+    fn = np.fromiter(f_wit.values(), dtype=np.int64)
+    lr = np.fromiter(l_wit, dtype=np.int64)
+    lm = np.fromiter(l_wit.values(), dtype=np.int64)
+    size = len(fr) * len(lr)
+    key = np.arange(size).reshape(len(fr), len(lr)) + size * (fn[:, None] < lm)
+    best = np.full(p, 2 * size, dtype=np.int64)
+    np.minimum.at(best, (fr[:, None] * lr % p).ravel(), key.ravel())
+    gens = np.flatnonzero(best < 2 * size)
+    i, j = np.divmod(best[gens] % size, len(lr))
+    return dict(zip(gens.tolist(), zip(fn[i].tolist(), lm[j].tolist())))
+
+
 def waring_constructive(p: int, nmax: int, delta: float, lam: int) -> WaringRepresentation:
     """Represent lam mod p as a sum of 16 Fibonacci numbers.
 
@@ -268,6 +294,8 @@ def waring_constructive(p: int, nmax: int, delta: float, lam: int) -> WaringRepr
         raise ConfigError("need 2 <= p <= nmax")
     if not (delta > 0 and math.isfinite(delta)):
         raise ConfigError(f"delta must be positive and finite, got {delta}")
+    if p > PRODUCT_GUARD:
+        raise GuardError(f"p = {p} exceeds the guard {PRODUCT_GUARD}")
     root = math.sqrt(nmax)
     n_lo = math.floor(delta * root / 10)
     n_hi = math.floor(delta * root / 5)
@@ -284,15 +312,7 @@ def waring_constructive(p: int, nmax: int, delta: float, lam: int) -> WaringRepr
             f"|F||L| = {len(f_wit)}*{len(l_wit)} <= 2p = {2 * p}: "
             "product set too small to force 8-fold coverage")
 
-    # Product residues with (n, m) witnesses; prefer n > m so that both
-    # Fibonacci indices in the rewrite are nonnegative.
-    prod_wit: dict[int, tuple[int, int]] = {}
-    for fr, n in f_wit.items():
-        for lr, m in l_wit.items():
-            r = fr * lr % p
-            cur = prod_wit.get(r)
-            if cur is None or (cur[0] < cur[1] and n >= m):
-                prod_wit[r] = (n, m)
+    prod_wit = _product_witnesses(f_wit, l_wit, p)
     gens = sorted(prod_wit)
     layers = _sumset_layers(ResidueSet.from_iterable(p, gens), 8)
     if layers[-1] != (1 << p) - 1:

@@ -5,6 +5,7 @@ import dataclasses
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
@@ -132,8 +133,54 @@ class TestNormReport:
     @example(ResidueMultiset.from_counts(2, {0: 2, 1: 5}))
     @example(ResidueMultiset.from_counts(3, {2: 1}))
     @example(ResidueMultiset.from_counts(3, {0: 4, 1: 1, 2: 2}))
-    def test_rfft_l1_against_full_scan(self, ms):
+    @example(ResidueMultiset.from_counts(4, {2: 1}))
+    @example(ResidueMultiset.from_counts(4, {0: 1, 1: 2, 3: 5}))
+    @example(ResidueMultiset.from_counts(101, {r: 1 + r % 3 for r in range(0, 101, 3)}))
+    def test_geometric_l1_against_full_scan(self, ms):
         assert norm_report(ms).l1 == pytest.approx(l1_full_scan(ms), rel=1e-12)
+
+    def test_half_moduli_near_the_guard(self):
+        """At p ~ 10^6 the products a0 r reach 10^11: unreduced, the phase
+        angles would be off by about 10^-10 rad at the top of the range."""
+        p = 999_983
+        ms = ResidueMultiset.from_spec(SequenceSpec.power(5, 1, 12), p)
+        r = np.fromiter(ms.counts, dtype=np.int64)
+        c = np.fromiter(ms.counts.values(), dtype=np.float64)
+        a = np.arange(p // 2 - 2000, p // 2 + 1, dtype=np.int64)
+        want = np.abs(np.exp(2j * np.pi / p * (np.outer(a, r) % p)) @ c)
+        got = expsums._half_moduli(ms)[a - 1]
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+        assert norm_report(ms).l1 == pytest.approx(l1_full_scan(ms), rel=1e-12)
+
+    def test_geometric_l1_in_support_slices(self, monkeypatch):
+        """A support wider than CHUNK phases allow is summed slice by slice."""
+        rng = random.Random(4242)
+        ms = ResidueMultiset.from_counts(
+            1009, {r: rng.randint(1, 5) for r in rng.sample(range(1009), 200)})
+        whole = expsums._l1_geometric(ms)
+        monkeypatch.setattr(expsums, "CHUNK", 100)    # 2 residues per slice
+        assert expsums._l1_geometric(ms) == pytest.approx(whole, rel=1e-13)
+        assert expsums._l1_geometric(ms) == pytest.approx(l1_full_scan(ms), rel=1e-12)
+
+    @given(st.lists(st.floats(min_value=-1e300, max_value=1e300,
+                              allow_subnormal=True), max_size=200)
+           | st.lists(st.floats(min_value=0, max_value=1e3), max_size=200))
+    @example([])
+    @example([0.0, -0.0])
+    @example([-0.0])
+    @example([1.0, 2.0**-53, 2.0**-53 * (1 + 2.0**-52)])   # a tie, broken up
+    @example([1.0, -1.0, 5e-324, 1e-300, -1e300, 1e300])
+    @example([2.0**-1074] * 7 + [-(2.0**-1073)])
+    def test_exact_sum_is_fsum(self, xs):
+        got = expsums._exact_sum(np.array(xs, dtype=np.float64))
+        want = math.fsum(xs)
+        assert got == want and math.copysign(1, got) == math.copysign(1, want)
+
+    def test_exact_sum_overflow_raises_like_fsum(self):
+        with pytest.raises(OverflowError):
+            math.fsum([1e308, 1e308])
+        with pytest.raises(OverflowError):
+            expsums._exact_sum(np.array([1e308, 1e308]))
 
     @given(small_multisets(max_support=8))
     @example(ResidueMultiset.from_counts(2, {0: 2, 1: 5}))

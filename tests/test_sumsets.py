@@ -451,6 +451,32 @@ class TestWaringConstructive:
     def test_target_reduced_mod_p(self):
         assert waring_constructive(101, 5000, 5.0, 106).target == 5
 
+    def test_product_guard(self):
+        """Residue products (p - 1)^2 must stay exact in int64."""
+        assert sumsets.PRODUCT_GUARD == 3_037_000_499
+        with pytest.raises(GuardError):
+            waring_constructive(sumsets.PRODUCT_GUARD + 2, 10**11, 5.0, 1)
+
+    @given(st.sampled_from(sieve_primes(200)),
+           st.lists(st.integers(0, 10**6), min_size=1, max_size=40),
+           st.lists(st.integers(0, 10**6), min_size=1, max_size=40),
+           st.integers(1, 30))
+    @example(7, [3, 3, 5], [2, 4, 6, 1], 1)      # every n < m but the first
+    def test_product_witnesses_match_the_loop(self, p, fs, ls, n_start):
+        """The vectorised witness table against the pairwise loop: the
+        first pair with n >= m, else the first pair, per product residue."""
+        f_wit = _first_index((x % p for x in fs), n_start)
+        l_wit = _first_index((x % p for x in ls), 1)
+        want: dict[int, tuple[int, int]] = {}
+        for fr, n in f_wit.items():
+            for lr, m in l_wit.items():
+                r = fr * lr % p
+                cur = want.get(r)
+                if cur is None or (cur[0] < cur[1] and n >= m):
+                    want[r] = (n, m)
+        got = sumsets._product_witnesses(f_wit, l_wit, p)
+        assert got == want and list(got) == sorted(want)
+
     def test_exceptional_prime_refused(self):
         # p = 211: the even-index window tops out at 21 distinct residues
         # (short Pisano period), so |F||L| <= 2p no matter how wide N is
