@@ -27,6 +27,9 @@ from .errors import ConfigError, GuardError, InvariantError
 INDEX_CAP = 1 << 62
 MODULUS_CAP = 1 << 62
 
+# Largest p whose residue products (p - 1)^2 stay exact in int64.
+PRODUCT_GUARD = math.isqrt(2**63 - 1)
+
 # Witnesses certifying Miller-Rabin for every n < 2^64.
 _MR_WITNESSES = (2, 325, 9375, 28178, 450775, 9780504, 1795265022)
 

@@ -2,13 +2,16 @@
 
 Subsets of Z/pZ are bit vectors packed into a single Python integer, so a
 (k+1)-fold sumset is the union over generators v of the k-fold sumset
-cyclically rotated by v -- one shift-or pass per generator, stopping as
-soon as the union covers F_p.  _sumset_layers, the one loop over that fold,
-ends at the first full layer, and _decompose_sum, the one witness routine,
-reads every level past it as full.  On top of that sit:
+cyclically rotated by v -- one shift-or pass per generator.  The fold reads
+its generators from an int64 array FOLD_CHECK_EVERY = 16 at a time and
+stops after the first block whose union covers F_p, so it never converts
+the generators it does not reach.  _sumset_layers, the one loop over that
+fold, ends at the first full layer, and _decompose_sum, the one witness
+routine, reads every level past it as full.  On top of that sit:
 
 * waring_fib_direct: the least s <= WARING_TERMS = 16 (the paper's 16-term
-  theorem) with every residue a sum of s Fibonacci numbers.
+  theorem) with every residue a sum of s Fibonacci numbers, its generators
+  from valueset's block-jump stepper.
 * glibichuk_check: |A||B| > 2p forces the 8-fold sumset of A*B to be all
   of F_p; checked exactly, with a missing-residue witness on failure.
 * waring_constructive: writes any residue as a sum of 16 Fibonacci numbers
@@ -32,8 +35,8 @@ from typing import Iterable, Optional, Union
 import numpy as np
 
 from .errors import ConfigError, ConstructionError, GuardError, InvariantError
-from .numtheory import _iroot, exact_fraction, fib_mod
-from .valueset import SequenceSpec
+from .numtheory import PRODUCT_GUARD, _iroot, exact_fraction, fib_mod
+from .valueset import SequenceSpec, fib_residue_array
 
 # The paper's Waring budget: for almost all p <= N, every residue mod p is
 # a sum of 16 Fibonacci numbers with index <= delta(N) sqrt(N).
@@ -42,12 +45,17 @@ WARING_TERMS = 16
 # Largest |X||Y||Z|^2 ternary_count will enumerate.
 TUPLE_GUARD = 10**9
 
-# Largest p whose residue products (p - 1)^2 stay exact in int64.
-PRODUCT_GUARD = math.isqrt(2**63 - 1)
-
 # Generators a fold shifts in between two checks of its union against the
 # full mask; a check costs about as much as one shift-or.
 FOLD_CHECK_EVERY = 16
+
+
+def _pack_residues(residues: np.ndarray, p: int) -> int:
+    """The p-bit mask with a bit set at each residue of an int64 array of
+    entries in [0, p)."""
+    flags = np.zeros(p, dtype=np.uint8)
+    flags[residues] = 1
+    return int.from_bytes(np.packbits(flags, bitorder="little").tobytes(), "little")
 
 
 class ResidueSet:
@@ -69,9 +77,7 @@ class ResidueSet:
             members = np.fromiter(xs, dtype=np.int64)
         except OverflowError as exc:
             raise ConfigError("residue set member outside int64") from exc
-        flags = np.zeros(p, dtype=np.uint8)
-        flags[members % p] = 1
-        out.bits = int.from_bytes(np.packbits(flags, bitorder="little").tobytes(), "little")
+        out.bits = _pack_residues(members % p, p)
         return out
 
     @classmethod
@@ -84,13 +90,17 @@ class ResidueSet:
     def __contains__(self, x: int) -> bool:
         return (self.bits >> (x % self.p)) & 1 == 1
 
-    def __iter__(self):
-        """The members in ascending order, as Python ints."""
+    def members(self) -> np.ndarray:
+        """The members in ascending order, as an int64 array."""
         raw = np.frombuffer(self.bits.to_bytes((self.p + 7) // 8, "little"),
                             dtype=np.uint8)
         # unpackbits yields only 0 and 1, so the bool view is exact
         bits = np.unpackbits(raw, bitorder="little").view(bool)
-        return iter(np.flatnonzero(bits).tolist())
+        return np.flatnonzero(bits)
+
+    def __iter__(self):
+        """The members in ascending order, as Python ints."""
+        return iter(self.members().tolist())
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, ResidueSet)
@@ -110,24 +120,27 @@ class ResidueSet:
         return (inv & -inv).bit_length() - 1
 
 
-def _fold_once(bits: int, gens: list[int], p: int) -> int:
-    """Union of the rotations of bits by each generator.  Once the union
-    is all of F_p no later generator can change it, so the fold stops."""
+def _fold_once(bits: int, gens: np.ndarray, p: int) -> int:
+    """Union of the rotations of bits by each generator of the int64 array
+    gens, read FOLD_CHECK_EVERY at a time.  Once the union is all of F_p no
+    later generator can change it, so the fold stops after the block whose
+    check finds it full and never reads the blocks after it."""
     mask = (1 << p) - 1
     out = 0
-    for i, v in enumerate(gens, 1):
-        out |= (bits << v) | (bits >> (p - v)) if v else bits
-        if i % FOLD_CHECK_EVERY == 0:
-            out &= mask
-            if out == mask:
-                break
-    return out & mask
+    for start in range(0, len(gens), FOLD_CHECK_EVERY):
+        for v in gens[start : start + FOLD_CHECK_EVERY].tolist():
+            out |= (bits << v) | (bits >> (p - v)) if v else bits
+        out &= mask
+        if out == mask:
+            break
+    return out
 
 
 def _sumset_layers(base: ResidueSet, k: int) -> list[int]:
     """Bit masks of the j-fold sumsets of base for j = 1..k, ending at the
-    first full layer: every layer after it is full too."""
-    p, gens = base.p, list(base)
+    first full layer: every layer after it is full too.  The generators
+    stay an int64 array, since an early-exiting fold reads few of them."""
+    p, gens = base.p, base.members()
     full = (1 << p) - 1
     layers = [base.bits]
     while len(layers) < k and layers[-1] != full:
@@ -225,10 +238,11 @@ def glibichuk_check(a: ResidueSet, b: ResidueSet) -> GlibichukResult:
 
 
 def fib_residue_set(p: int, max_index: int) -> ResidueSet:
-    """{F_n mod p : 1 <= n <= max_index}."""
+    """{F_n mod p : 1 <= n <= max_index}, from the block-jump stepper; p is
+    at most PRODUCT_GUARD, checked before anything is allocated."""
     if max_index < 1:
         raise ConfigError("max_index must be >= 1")
-    return ResidueSet.from_iterable(p, SequenceSpec.fibonacci(1, max_index).residues(p))
+    return ResidueSet(p, _pack_residues(fib_residue_array(1, max_index, p), p))
 
 
 def waring_fib_direct(p: int, max_index: int, terms: int = WARING_TERMS) -> CoverResult:

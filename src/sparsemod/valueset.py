@@ -8,14 +8,23 @@ collide mod p, and summing that over all primes p <= N gives the total
 collision count J(N).  j_total computes J(N) by the per-prime loop;
 j_total_pairscan recomputes it from scratch by factoring pairwise
 differences, giving an independent oracle with exact integer arithmetic.
+
+SequenceSpec.residues steps one term at a time; it serves every family
+and every short block.  fib_residue_array is the fast path for long
+Fibonacci blocks (the Waring generators): block jumps of about
+sqrt(length) terms in Python and one vector combination in int64, checked
+against SequenceSpec.residues as its oracle.
 """
 
 import math
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
+import numpy as np
+
 from .errors import ConfigError, GuardError
-from .numtheory import INDEX_CAP, exact_fraction, fib_pair_mod, sieve_primes
+from .numtheory import (INDEX_CAP, PRODUCT_GUARD, exact_fraction, fib_pair_mod,
+                        sieve_primes)
 
 FAMILIES = ("fibonacci", "lucas", "fibonacci-even", "power", "explicit")
 
@@ -160,6 +169,41 @@ class SequenceSpec:
             return [fib[2 * n] for n in range(lo, hi + 1)]
         # Lucas: L_n = F_{n-1} + F_{n+1}
         return [fib[n - 1] + fib[n + 1] for n in range(lo, hi + 1)]
+
+
+def fib_residue_array(lo: int, hi: int, p: int) -> np.ndarray:
+    """F_n mod p for n = lo..hi as an int64 array, by block jumps.
+
+    With B = ceil(sqrt(hi - lo + 1)), the baby terms F_0..F_B and the giant
+    pairs (F_{m-1}, F_m) for m = lo, lo + B, lo + 2B, ... are stepped in
+    Python with F_{m+i} = F_m F_{i+1} + F_{m-1} F_i; one outer combination
+    by the same identity then gives every term.  A block costs about
+    2 sqrt(hi - lo) Python steps instead of hi - lo, so long blocks come
+    here and short ones stay on SequenceSpec.residues, the per-term oracle.
+    Each product is reduced before the sum, which keeps p <= PRODUCT_GUARD
+    exact in int64.
+    """
+    if p < 2:
+        raise ConfigError("modulus must be >= 2")
+    if p > PRODUCT_GUARD:
+        raise GuardError(f"p = {p} exceeds the guard {PRODUCT_GUARD}")
+    if not 1 <= lo <= hi <= INDEX_CAP:
+        raise ConfigError("need 1 <= lo <= hi <= 2^62")
+    n = hi - lo + 1
+    b = math.isqrt(n - 1) + 1
+    baby = [0, 1 % p]
+    for _ in range(b - 1):
+        baby.append((baby[-1] + baby[-2]) % p)
+    f_b, f_b1 = baby[b], (baby[b] + baby[b - 1]) % p   # F_B, F_{B+1}
+    prev, cur = fib_pair_mod(lo - 1, p)
+    giant = []
+    for _ in range(-(-n // b)):
+        giant += (prev, cur)
+        prev, cur = (cur * f_b + prev * baby[b - 1]) % p, (cur * f_b1 + prev * f_b) % p
+    g = np.array(giant, dtype=np.int64).reshape(-1, 2)   # rows (F_{m-1}, F_m)
+    f = np.array(baby, dtype=np.int64)
+    terms = (g[:, 1:] * f[1:] % p + g[:, :1] * f[:-1] % p) % p
+    return terms.ravel()[:n]
 
 
 @dataclass(frozen=True)

@@ -161,7 +161,7 @@ class TestFoldOnce:
         covers F_p partway through the generators (dense) or never (sparse);
         a single generator v gives the translate by v."""
         p, prev, gens = case
-        got = _fold_once(to_mask(prev), gens, p)
+        got = _fold_once(to_mask(prev), np.array(gens, dtype=np.int64), p)
         want = brute_fold(set(gens), prev, p)
         assert got == to_mask(want)
         if len(prev) * len(gens) < p:
@@ -170,13 +170,31 @@ class TestFoldOnce:
             assert len(want) == p
 
     def test_stops_once_covered(self):
-        """Generators past the check that finds F_p covered are never read."""
-        p = 101
-        prev = to_mask(range(1, p))
-        gens = list(range(FOLD_CHECK_EVERY)) + ["unread"]
-        assert _fold_once(prev, gens, p) == (1 << p) - 1
-        with pytest.raises(TypeError):
-            _fold_once(to_mask([0]), gens, p)
+        """Generators past the check that finds F_p covered are never read:
+        the fold slices its generator array one block at a time and slices
+        no block after the one that covers F_p."""
+
+        class SliceLog:
+            """An int64 generator array that records each slice read."""
+
+            def __init__(self, arr):
+                self.arr, self.read = arr, []
+
+            def __len__(self):
+                return len(self.arr)
+
+            def __getitem__(self, key):
+                self.read.append((key.start, key.stop))
+                return self.arr[key]
+
+        p, b = 101, FOLD_CHECK_EVERY
+        gens = SliceLog(np.arange(3 * b, dtype=np.int64))
+        assert _fold_once(to_mask(range(1, p)), gens, p) == (1 << p) - 1
+        assert gens.read == [(0, b)]
+        gens.read.clear()
+        # {0} rotated by 3b < p generators never covers F_p: every block is read
+        assert _fold_once(to_mask([0]), gens, p) == to_mask(range(3 * b))
+        assert gens.read == [(0, b), (b, 2 * b), (2 * b, 3 * b)]
 
     @given(covering_generators(), st.integers(0, 10**6))
     def test_layers_stay_full_and_decompose(self, case, target):
@@ -405,6 +423,17 @@ class TestWaringFibDirect:
     def test_fib_residue_set(self):
         assert sorted(fib_residue_set(10, 6)) == [1, 2, 3, 5, 8]
         assert sorted(fib_residue_set(5, 5)) == [0, 1, 2, 3]
+
+    def test_matches_per_term_sets(self):
+        """Over every prime <= 3000, the cover from the block-jump residue
+        set and the array-reading fold equals the cover of the set built
+        from the per-term generator."""
+        for p in sieve_primes(3000):
+            for m in (1, 50, 1727):
+                oracle = ResidueSet.from_iterable(
+                    p, SequenceSpec.fibonacci(1, m).residues(p))
+                assert fib_residue_set(p, m) == oracle, (p, m)
+                assert waring_fib_direct(p, m) == k_fold_sumset(oracle, 16), (p, m)
 
     def test_monotone_in_max_index(self):
         """More generators never hurt: s_min is non-increasing in max_index."""

@@ -1,9 +1,11 @@
 """Survey rows and aggregates, report serialization, and the CLI contract."""
 
+import itertools
 import json
 import math
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -26,6 +28,7 @@ from sparsemod import (
     write_report,
 )
 from sparsemod.cli import main, parse_sequence_spec
+from sparsemod.numtheory import PRODUCT_GUARD, is_prime
 from sparsemod.survey import CSV_COLUMNS, delta_of
 from sparsemod.valueset import ResidueMultiset
 
@@ -222,6 +225,19 @@ class TestCliExitCodes:
         code = main(["littlewood", "--p", "1000003", "--nmax", "1000003",
                      "--gamma", "0.3"])
         assert code == 2
+
+    def test_waring_direct_guard_exit(self, capsys):
+        """Above PRODUCT_GUARD the direct search exits 2 before it allocates
+        its p-byte flag array or p-bit masks."""
+        p = next(q for q in itertools.count(PRODUCT_GUARD + 1) if is_prime(q))
+        tracemalloc.start()
+        try:
+            code = main(["waring", "--mode", "direct", "--p", str(p)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2 and peak < 10**6
+        assert "guard exceeded" in capsys.readouterr().err
 
     def test_invariant_exit(self, capsys, monkeypatch):
         import sparsemod.cli as cli_mod

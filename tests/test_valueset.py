@@ -3,11 +3,14 @@
 import math
 import random
 
+import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from sparsemod import (
     CollisionStats,
     ConfigError,
+    GuardError,
     ResidueMultiset,
     SequenceSpec,
     collision_stats,
@@ -19,6 +22,16 @@ from sparsemod import (
     sieve_primes,
     value_set_survey,
 )
+from sparsemod.numtheory import PRODUCT_GUARD, is_prime
+from sparsemod.valueset import fib_residue_array
+
+# The largest modulus the int64 stepper accepts that is prime.
+TOP_PRIME = next(q for q in range(PRODUCT_GUARD, 0, -1) if is_prime(q))
+
+# Block lengths around the stepper's B = ceil(sqrt(length)) boundaries.
+block_lengths = st.sampled_from((1, 2)) | st.builds(
+    lambda r, d: r * r + d, st.integers(1, 60), st.sampled_from((-1, 0, 1))
+).filter(lambda n: n >= 1)
 
 
 def brute_residues(values, p):
@@ -56,6 +69,25 @@ class TestSequenceSpec:
             vals = spec.exact_values()
             for p in (2, 3, 5, 97, 1009):
                 assert list(spec.residues(p)) == [v % p for v in vals], (spec.label(), p)
+
+    @given(st.sampled_from((2, 3, 5)) | st.integers(2, PRODUCT_GUARD),
+           st.integers(1, 10**15), block_lengths)
+    @example(TOP_PRIME, 10**9, 5)             # a short block at the guard
+    @example(TOP_PRIME, 1, 48 * 48)           # F_47 + F_46 > p: a sum must be reduced
+    @example(2, 1, 3)
+    def test_fib_residue_array_matches_residues(self, p, lo, length):
+        """The block-jump stepper against the per-term generator."""
+        hi = lo + length - 1
+        got = fib_residue_array(lo, hi, p)
+        assert got.dtype == np.int64 and len(got) == length
+        assert got.tolist() == list(SequenceSpec.fibonacci(lo, hi).residues(p))
+
+    def test_fib_residue_array_validation(self):
+        with pytest.raises(GuardError):
+            fib_residue_array(1, 10, PRODUCT_GUARD + 1)
+        for lo, hi, p in ((0, 5, 7), (6, 5, 7), (1, 5, 1)):
+            with pytest.raises(ConfigError):
+                fib_residue_array(lo, hi, p)
 
     def test_validation(self):
         with pytest.raises(ConfigError):
