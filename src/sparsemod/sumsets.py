@@ -7,11 +7,13 @@ its generators from an int64 array FOLD_CHECK_EVERY = 16 at a time and
 stops after the first block whose union covers F_p, so it never converts
 the generators it does not reach.  _sumset_layers, the one loop over that
 fold, ends at the first full layer, and _decompose_sum, the one witness
-routine, reads every level past it as full.  On top of that sit:
+routine, reads every level past it as full.  Every Waring window has one
+generator, valueset's block-jump stepper, cut at 6p terms: F and L mod p
+repeat with period at most 6p, so a window costs O(p) at any N.  On top of
+that sit:
 
 * waring_fib_direct: the least s <= WARING_TERMS = 16 (the paper's 16-term
-  theorem) with every residue a sum of s Fibonacci numbers, its generators
-  from valueset's block-jump stepper.
+  theorem) with every residue a sum of s Fibonacci numbers.
 * glibichuk_check: |A||B| > 2p forces the 8-fold sumset of A*B to be all
   of F_p; checked exactly, with a missing-residue witness on failure.
 * waring_constructive: writes any residue as a sum of 16 Fibonacci numbers
@@ -19,24 +21,21 @@ routine, reads every level past it as full.  On top of that sit:
   as F_{2(n+m)} + F_{2(n-m)}.
 * waring_eps_verify: the short-index variant; s = 4k indices below N^eps,
   found by solving x*y + z_1 + z_2 = lambda over structured sum sets, with
-  Z and Z + Z as the first two sumset layers of Z.
-
-Counting solutions of x y + z_1 + z_2 = lambda exactly (ternary_count)
-supplies the solvability bound behind the eps variant:
-|T - |X||Y||Z|^2 / p| <= sqrt(p |X||Y|) |Z|.
+  Z and Z + Z as the first two sumset layers of Z.  It checks |X||Y||Z|^2
+  > p^3, which forces a solution by the bound |T - |X||Y||Z|^2 / p| <=
+  sqrt(p |X||Y|) |Z| on the exact count T of ternary_count.
 """
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
 from typing import Iterable, Optional, Union
 
 import numpy as np
 
 from .errors import ConfigError, ConstructionError, GuardError, InvariantError
 from .numtheory import PRODUCT_GUARD, _iroot, exact_fraction, fib_mod
-from .valueset import SequenceSpec, fib_residue_array
+from .valueset import fib_residue_array
 
 # The paper's Waring budget: for almost all p <= N, every residue mod p is
 # a sum of 16 Fibonacci numbers with index <= delta(N) sqrt(N).
@@ -190,11 +189,13 @@ class CoverResult:
 
 
 def product_set(a: ResidueSet, b: ResidueSet) -> ResidueSet:
-    """{x * y mod p : x in a, y in b}, exact."""
+    """{x * y mod p : x in a, y in b}, exact in int64 for p <= PRODUCT_GUARD."""
     if a.p != b.p:
         raise ConfigError("mismatched moduli")
-    bl = list(b)
-    return ResidueSet.from_iterable(a.p, (x * y for x in a for y in bl))
+    if a.p > PRODUCT_GUARD:
+        raise GuardError(f"p = {a.p} exceeds the guard {PRODUCT_GUARD}")
+    prods = a.members()[:, None] * b.members() % a.p
+    return ResidueSet(a.p, _pack_residues(prods.ravel(), a.p))
 
 
 def k_fold_sumset(v: ResidueSet, k: int) -> CoverResult:
@@ -242,7 +243,22 @@ def fib_residue_set(p: int, max_index: int) -> ResidueSet:
     at most PRODUCT_GUARD, checked before anything is allocated."""
     if max_index < 1:
         raise ConfigError("max_index must be >= 1")
-    return ResidueSet(p, _pack_residues(fib_residue_array(1, max_index, p), p))
+    # pi(p) <= 6p (Freyd-Brown): each F_n with n > 6p repeats an earlier one
+    return ResidueSet(p, _pack_residues(fib_residue_array(1, min(max_index, 6 * p), p), p))
+
+
+def _fib_window(p: int, a: int, b: int, lo: int, hi: int,
+                lucas: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct residues of F_{an+b} (L_{an+b} = F_{an+b-1} + F_{an+b+1}
+    when lucas) mod p for lo <= n <= hi, in order of first occurrence, and
+    each one's least n, as two int64 arrays, from one block-jump array read
+    with stride a; needs a lo + b - lucas >= 1."""
+    # F and L mod p have period pi(p) <= 6p in n, so later n add no residue
+    hi = min(hi, lo + 6 * p - 1)
+    f = fib_residue_array(a * lo + b - lucas, a * hi + b + lucas, p)
+    terms = (f[:-2:a] + f[2::a]) % p if lucas else f[::a]
+    first = np.sort(np.unique(terms, return_index=True)[1])
+    return terms[first], first + lo
 
 
 def waring_fib_direct(p: int, max_index: int, terms: int = WARING_TERMS) -> CoverResult:
@@ -265,27 +281,14 @@ class WaringRepresentation:
     l_size: int                              # |{L_{2m} mod p}| over the window
 
 
-def _first_index(residues: Iterable[int], start: int) -> dict[int, int]:
-    """residue -> index of its first occurrence, the first term being
-    index start.  Insertion order is ascending index."""
-    wit: dict[int, int] = {}
-    for i, r in enumerate(residues, start):
-        wit.setdefault(r, i)
-    return wit
-
-
-def _product_witnesses(f_wit: dict[int, int], l_wit: dict[int, int],
-                        p: int) -> dict[int, tuple[int, int]]:
+def _product_witnesses(fr: np.ndarray, fn: np.ndarray, lr: np.ndarray,
+                        lm: np.ndarray, p: int) -> dict[int, tuple[int, int]]:
     """Each product residue F L mod p -> its witness (n, m): the first pair
-    in (F, L) insertion order with n >= m, so that both Fibonacci indices
-    in the rewrite are nonnegative, else the first pair.
+    in (F, L) window order with n >= m, so that both Fibonacci indices in
+    the rewrite are nonnegative, else the first pair.
 
     One int64 key per pair, its flat index plus |F||L| when n < m, and the
     least key per residue is the witness."""
-    fr = np.fromiter(f_wit, dtype=np.int64)
-    fn = np.fromiter(f_wit.values(), dtype=np.int64)
-    lr = np.fromiter(l_wit, dtype=np.int64)
-    lm = np.fromiter(l_wit.values(), dtype=np.int64)
     size = len(fr) * len(lr)
     key = np.arange(size).reshape(len(fr), len(lr)) + size * (fn[:, None] < lm)
     best = np.full(p, 2 * size, dtype=np.int64)
@@ -317,16 +320,14 @@ def waring_constructive(p: int, nmax: int, delta: float, lam: int) -> WaringRepr
     if n_lo + 1 > n_hi or m_hi < 1:
         raise ConstructionError(
             f"empty index window (delta={delta}, N={nmax})")
-    f_wit = _first_index(SequenceSpec.fibonacci_even(n_lo + 1, n_hi).residues(p), n_lo + 1)
-    # L_{2m} for 1 <= m <= m_hi: every other term of L_2..L_{2 m_hi}
-    even_lucas = islice(SequenceSpec.lucas(2, 2 * m_hi).residues(p), 0, None, 2)
-    l_wit = _first_index(even_lucas, 1)
-    if len(f_wit) * len(l_wit) <= 2 * p:
+    fr, fn = _fib_window(p, 2, 0, n_lo + 1, n_hi)           # F_{2n}
+    lr, lm = _fib_window(p, 2, 0, 1, m_hi, lucas=True)      # L_{2m}
+    if len(fr) * len(lr) <= 2 * p:
         raise ConstructionError(
-            f"|F||L| = {len(f_wit)}*{len(l_wit)} <= 2p = {2 * p}: "
+            f"|F||L| = {len(fr)}*{len(lr)} <= 2p = {2 * p}: "
             "product set too small to force 8-fold coverage")
 
-    prod_wit = _product_witnesses(f_wit, l_wit, p)
+    prod_wit = _product_witnesses(fr, fn, lr, lm, p)
     gens = sorted(prod_wit)
     layers = _sumset_layers(ResidueSet.from_iterable(p, gens), 8)
     if layers[-1] != (1 << p) - 1:
@@ -347,7 +348,7 @@ def waring_constructive(p: int, nmax: int, delta: float, lam: int) -> WaringRepr
         raise InvariantError(f"representation re-evaluates to {check}, not {target}")
     return WaringRepresentation(p=p, target=target, pairs=pairs,
                                 fib_indices=tuple(indices),
-                                f_size=len(f_wit), l_size=len(l_wit))
+                                f_size=len(fr), l_size=len(lr))
 
 
 @dataclass(frozen=True)
@@ -472,13 +473,12 @@ def waring_eps_verify(p: int, nmax: int, eps: Union[float, str, Fraction],
         raise ConstructionError(
             f"Lucas window ({m_lo}, {m_hi}] cannot clear 2*N^(1/(k+2)) = {2 * b_cap}")
 
-    # First witness index for each generator residue: F_{2n-1} (every other
-    # term of F_1..F_{2 b_cap}) and F_{2l} for n, l <= b_cap, and L_m over
-    # the Lucas window.
-    odd_fib = islice(SequenceSpec.fibonacci(1, 2 * b_cap).residues(p), 0, None, 2)
-    x_idx = _first_index(odd_fib, 1)
-    z_idx = _first_index(SequenceSpec.fibonacci_even(1, b_cap).residues(p), 1)
-    y_wit = _first_index(SequenceSpec.lucas(m_start, m_hi).residues(p), m_start)
+    def first_index(*window) -> dict[int, int]:   # residue -> least index
+        residues, index = _fib_window(p, *window)
+        return dict(zip(residues.tolist(), index.tolist()))
+    x_idx = first_index(2, -1, 1, b_cap)             # F_{2n-1}, n <= b_cap
+    z_idx = first_index(2, 0, 1, b_cap)              # F_{2l}, l <= b_cap
+    y_wit = first_index(1, 0, m_start, m_hi, True)   # L_m over the window
     gens_x = sorted(x_idx)
     gens_z = sorted(z_idx)
     layers_x = _sumset_layers(ResidueSet.from_iterable(p, gens_x), k)

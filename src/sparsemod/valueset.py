@@ -9,11 +9,11 @@ collision count J(N).  j_total computes J(N) by the per-prime loop;
 j_total_pairscan recomputes it from scratch by factoring pairwise
 differences, giving an independent oracle with exact integer arithmetic.
 
-SequenceSpec.residues steps one term at a time; it serves every family
-and every short block.  fib_residue_array is the fast path for long
-Fibonacci blocks (the Waring generators): block jumps of about
-sqrt(length) terms in Python and one vector combination in int64, checked
-against SequenceSpec.residues as its oracle.
+One generator per job: SequenceSpec.residues steps one term at a time for
+every family and every short block (multisets, J(N), value sets), and
+fib_residue_array serves every Waring window with block jumps of about
+sqrt(length) terms in Python and one vector combination in uint64,
+checked against SequenceSpec.residues as its oracle.
 """
 
 import math
@@ -180,8 +180,8 @@ def fib_residue_array(lo: int, hi: int, p: int) -> np.ndarray:
     by the same identity then gives every term.  A block costs about
     2 sqrt(hi - lo) Python steps instead of hi - lo, so long blocks come
     here and short ones stay on SequenceSpec.residues, the per-term oracle.
-    Each product is reduced before the sum, which keeps p <= PRODUCT_GUARD
-    exact in int64.
+    The combination runs in uint64, where the unreduced sum of two residue
+    products, below 2 PRODUCT_GUARD^2 < 2^64, needs only one reduction.
     """
     if p < 2:
         raise ConfigError("modulus must be >= 2")
@@ -200,10 +200,10 @@ def fib_residue_array(lo: int, hi: int, p: int) -> np.ndarray:
     for _ in range(-(-n // b)):
         giant += (prev, cur)
         prev, cur = (cur * f_b + prev * baby[b - 1]) % p, (cur * f_b1 + prev * f_b) % p
-    g = np.array(giant, dtype=np.int64).reshape(-1, 2)   # rows (F_{m-1}, F_m)
-    f = np.array(baby, dtype=np.int64)
-    terms = (g[:, 1:] * f[1:] % p + g[:, :1] * f[:-1] % p) % p
-    return terms.ravel()[:n]
+    g = np.array(giant, dtype=np.uint64).reshape(-1, 2)   # rows (F_{m-1}, F_m)
+    f = np.array(baby, dtype=np.uint64)
+    terms = (g[:, 1:] * f[1:] + g[:, :1] * f[:-1]) % np.uint64(p)
+    return terms.ravel()[:n].view(np.int64)
 
 
 @dataclass(frozen=True)

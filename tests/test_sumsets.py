@@ -1,9 +1,10 @@
 """Bit-vector sumsets, Glibichuk covering, Fibonacci Waring searches, ternary counts."""
 
+import itertools
 import math
 import random
+import tracemalloc
 from fractions import Fraction
-from itertools import islice
 
 import numpy as np
 import pytest
@@ -29,10 +30,11 @@ from sparsemod import (
     waring_fib_direct,
 )
 import sparsemod.sumsets as sumsets
+from sparsemod.numtheory import is_prime
 from sparsemod.sumsets import (
     FOLD_CHECK_EVERY,
     _decompose_sum,
-    _first_index,
+    _fib_window,
     _fold_once,
     _sumset_layers,
     fib_residue_set,
@@ -284,6 +286,13 @@ class TestProductSet:
         with pytest.raises(ConfigError):
             product_set(ResidueSet.full(5), ResidueSet.full(7))
 
+    def test_guard(self, monkeypatch):
+        """Residue products stay exact in int64 only up to PRODUCT_GUARD."""
+        monkeypatch.setattr(sumsets, "PRODUCT_GUARD", 6)
+        assert sorted(product_set(ResidueSet.full(5), ResidueSet.full(5))) == [0, 1, 2, 3, 4]
+        with pytest.raises(GuardError):
+            product_set(ResidueSet.full(7), ResidueSet.full(7))
+
 
 class TestKFoldSumset:
     def test_known(self):
@@ -341,24 +350,68 @@ class TestKFoldSumset:
         assert seen == {True, False}
 
 
+def window_items(p, *window):
+    """_fib_window as (residue, least index) pairs of Python ints."""
+    residues, index = _fib_window(p, *window)
+    assert residues.dtype == index.dtype == np.int64
+    return list(zip(residues.tolist(), index.tolist()))
+
+
+def first_index_loop(residues, start):
+    """residue -> index of its first occurrence, the first term being index
+    start, in ascending index order."""
+    wit = {}
+    for i, r in enumerate(residues, start):
+        wit.setdefault(r, i)
+    return wit
+
+
 class TestFirstIndex:
-    @given(st.sampled_from(sieve_primes(3000)), st.integers(1, 200), st.integers(0, 200))
-    def test_windows_match_per_index_evaluation(self, p, lo, width):
-        """The recurrence-stepped witness maps equal per-index fast doubling."""
+    @given(st.sampled_from(sieve_primes(3000) + [4, 6, 10, 12, 50, 250]),
+           st.integers(1, 200), st.integers(0, 200))
+    # 10, 50 and 250 are moduli whose Pisano period is exactly 6m
+    @example(10, 3, 70)
+    @example(50, 1, 320)
+    @example(250, 17, 1520)
+    @example(5, 200, 45)
+    def test_windows_match_per_index_evaluation(self, m, lo, width):
+        """The block-jump windows, cut at 6m values of n, equal per-index
+        fast doubling over the whole window."""
         hi = lo + width
-        even_fib = _first_index(SequenceSpec.fibonacci_even(lo, hi).residues(p), lo)
-        assert list(even_fib.items()) == first_index_oracle(
-            lambda n: fib_mod(2 * n, p), lo, hi)
-        even_lucas = islice(SequenceSpec.lucas(2, 2 * hi).residues(p), 0, None, 2)
-        assert list(_first_index(even_lucas, 1).items()) == first_index_oracle(
-            lambda m: lucas_mod(2 * m, p), 1, hi)
-        odd_fib = islice(SequenceSpec.fibonacci(1, 2 * hi).residues(p), 0, None, 2)
-        assert list(_first_index(odd_fib, 1).items()) == first_index_oracle(
-            lambda n: fib_mod(2 * n - 1, p), 1, hi)
-        lucas = _first_index(SequenceSpec.lucas(lo, hi).residues(p), lo)
-        assert list(lucas.items()) == first_index_oracle(lambda m: lucas_mod(m, p), lo, hi)
-        assert sorted(fib_residue_set(p, hi)) == sorted(
-            {fib_mod(n, p) for n in range(1, hi + 1)})
+        assert window_items(m, 2, 0, lo, hi) == first_index_oracle(
+            lambda n: fib_mod(2 * n, m), lo, hi)
+        assert window_items(m, 2, 0, 1, hi, True) == first_index_oracle(
+            lambda n: lucas_mod(2 * n, m), 1, hi)
+        assert window_items(m, 2, -1, 1, hi) == first_index_oracle(
+            lambda n: fib_mod(2 * n - 1, m), 1, hi)
+        lo_l = max(lo, 2)   # L_n reads F_{n-1}, and the stepper starts at F_1
+        assert window_items(m, 1, 0, lo_l, lo_l + width, True) == first_index_oracle(
+            lambda n: lucas_mod(n, m), lo_l, lo_l + width)
+        assert sorted(fib_residue_set(m, hi)) == sorted(
+            {fib_mod(n, m) for n in range(1, hi + 1)})
+
+    def test_no_window_reads_past_six_p(self, monkeypatch):
+        """Every Waring entry point asks the stepper for at most 6p values
+        of n: at stride 2 with the two Lucas neighbours, 12p + 1 indices."""
+        calls = []
+        stepper = sumsets.fib_residue_array
+
+        def spy(lo, hi, p):
+            calls.append((lo, hi, p))
+            return stepper(lo, hi, p)
+
+        monkeypatch.setattr(sumsets, "fib_residue_array", spy)
+        waring_fib_direct(101, 10**6)
+        waring_constructive(101, 10**12, 5.0, 3)
+        waring_eps_verify(1009, 10**17, "0.5", 11)
+        assert all(hi - lo + 1 <= 12 * p + 1 for lo, hi, p in calls)
+        assert calls == [
+            (1, 606, 101),                  # F_n, n <= 6p
+            (1000002, 1001212, 101),        # F_{2n}, 500001 <= n <= 500606
+            (1, 1213, 101),                 # L_{2m} from F_{2m -+ 1}, m <= 606
+            (1, 19, 1009), (2, 20, 1009),   # F_{2n-1}, F_{2l}, n, l <= 10
+            (5000000, 5006055, 1009),       # L_m, 5000001 <= m <= 5006054
+        ]
 
 
 class TestGlibichuk:
@@ -494,8 +547,8 @@ class TestWaringConstructive:
     def test_product_witnesses_match_the_loop(self, p, fs, ls, n_start):
         """The vectorised witness table against the pairwise loop: the
         first pair with n >= m, else the first pair, per product residue."""
-        f_wit = _first_index((x % p for x in fs), n_start)
-        l_wit = _first_index((x % p for x in ls), 1)
+        f_wit = first_index_loop((x % p for x in fs), n_start)
+        l_wit = first_index_loop((x % p for x in ls), 1)
         want: dict[int, tuple[int, int]] = {}
         for fr, n in f_wit.items():
             for lr, m in l_wit.items():
@@ -503,7 +556,9 @@ class TestWaringConstructive:
                 cur = want.get(r)
                 if cur is None or (cur[0] < cur[1] and n >= m):
                     want[r] = (n, m)
-        got = sumsets._product_witnesses(f_wit, l_wit, p)
+        windows = [np.array(list(xs), dtype=np.int64)
+                   for xs in (f_wit, f_wit.values(), l_wit, l_wit.values())]
+        got = sumsets._product_witnesses(*windows, p)
         assert got == want and list(got) == sorted(want)
 
     def test_exceptional_prime_refused(self):
@@ -632,6 +687,19 @@ class TestWaringEpsVerify:
     def test_precondition_failure_small_n(self):
         with pytest.raises(ConstructionError):
             waring_eps_verify(97, 10**6, "0.5", 11)
+
+    def test_product_guard(self):
+        """Above PRODUCT_GUARD the windows' residue products would overflow
+        int64, so the search refuses p before it allocates its masks."""
+        p = next(q for q in itertools.count(sumsets.PRODUCT_GUARD + 1) if is_prime(q))
+        tracemalloc.start()
+        try:
+            with pytest.raises(GuardError):
+                waring_eps_verify(p, p, "0.5", 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10**6
 
     def test_frozen_instance(self):
         rep = waring_eps_verify(97, 3**17, "0.5", 11)

@@ -3,9 +3,11 @@
 import itertools
 import json
 import math
+import shlex
 import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -203,6 +205,27 @@ class TestParseSequenceSpec:
         for bad in ("fib:5", "weird:1..2", "pow:1..5", "list:", "fib:a..b"):
             with pytest.raises(ConfigError):
                 parse_sequence_spec(bad)
+
+
+def golden_runs(path):
+    """(argv, expected stdout) for each '$ sparsemod ...' block of path."""
+    runs = []
+    for line in path.read_text().splitlines(keepends=True):
+        if line.startswith("$ "):
+            runs.append((shlex.split(line[2:])[1:], ""))
+        else:
+            runs[-1] = (runs[-1][0], runs[-1][1] + line)
+    return runs
+
+
+@pytest.mark.parametrize(
+    "argv, want", golden_runs(Path(__file__).parent / "data" / "waring_cli_golden.txt"),
+    ids=lambda v: " ".join(v) if isinstance(v, list) else "")
+def test_waring_golden_output(argv, want, capsys):
+    """waring prints the recorded bytes in all three modes: the README
+    examples and windows far longer than one Pisano period."""
+    assert main(argv) == 0
+    assert capsys.readouterr().out == want
 
 
 class TestCliExitCodes:
