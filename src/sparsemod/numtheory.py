@@ -5,6 +5,11 @@ here: a sieve, deterministic Miller-Rabin, Legendre symbols, multiplicative
 orders, the rank of apparition z(p) (least l >= 1 with F_l = 0 mod p),
 F_n / L_n modulo m by fast doubling, and exact floors of n^(a/b).
 
+Two paths per job: the scalar functions take one modulus at a time, and
+the sweep kernels (fib_pair_array, pow_array, order_table) take a whole
+array of sieve primes in numpy.  The scalar functions are the sweeps'
+differential oracles.
+
 Conventions
 -----------
 F_1 = F_2 = 1 and L_1 = 1, L_2 = 3; both sequences are extended to index 0
@@ -18,7 +23,7 @@ z(p)), whose prime factors come from trial division.
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -29,6 +34,10 @@ MODULUS_CAP = 1 << 62
 
 # Largest p whose residue products (p - 1)^2 stay exact in int64.
 PRODUCT_GUARD = math.isqrt(2**63 - 1)
+
+# Most entries one sweep array holds, 128 KB of int64: the sweeps take
+# their primes in chunks so that no working array grows past it.
+SWEEP_ENTRIES = 1 << 14
 
 # Witnesses certifying Miller-Rabin for every n < 2^64.
 _MR_WITNESSES = (2, 325, 9375, 28178, 450775, 9780504, 1795265022)
@@ -118,6 +127,44 @@ def fib_lucas_mod(n: int, m: int) -> tuple[int, int]:
     """(F_n mod m, L_n mod m) in O(log n) multiplications."""
     a, b = fib_pair_mod(n, m)
     return a, (2 * b - a) % m
+
+
+def fib_pair_array(n, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """fib_pair_mod across an array of moduli: (F_n mod p, F_{n+1} mod p)
+    elementwise as int64 arrays, with n an int or an int64 array that
+    broadcasts against p.
+
+    The moduli must lie in [2, PRODUCT_GUARD] (callers check), so in uint64
+    a residue product and the sum of two of them, below 2 PRODUCT_GUARD^2
+    < 2^64, are exact.
+    """
+    if isinstance(n, int):
+        _check_index(n)
+    n = np.asarray(n, dtype=np.int64)
+    m = np.asarray(p, dtype=np.int64).view(np.uint64)
+    shape = np.broadcast_shapes(n.shape, m.shape)
+    a, b = np.zeros(shape, np.uint64), np.ones(shape, np.uint64)
+    top = int(n.max()).bit_length() if n.size else 0
+    for shift in range(top - 1, -1, -1):
+        c = a * ((2 * b + m - a) % m) % m
+        d = (a * a + b * b) % m
+        odd = ((n >> shift) & 1).astype(bool)
+        a, b = np.where(odd, d, c), np.where(odd, (c + d) % m, d)
+    return a.view(np.int64), b.view(np.int64)
+
+
+def pow_array(base, e, p: np.ndarray) -> np.ndarray:
+    """pow(base, e, p) elementwise by square-and-multiply, as int64; base
+    and e are ints or int64 arrays broadcasting against p, with
+    0 <= base < p <= PRODUCT_GUARD, so every product stays exact."""
+    e = np.asarray(e, dtype=np.int64)
+    b = np.asarray(base, dtype=np.int64)
+    r = np.ones(np.broadcast_shapes(b.shape, e.shape, p.shape), np.int64)
+    top = int(e.max()).bit_length() if e.size else 0
+    for shift in range(top):
+        r = np.where((e >> shift) & 1, r * b % p, r)
+        b = b * b % p
+    return r
 
 
 def _iroot(n: int, r: int) -> int:
@@ -251,6 +298,10 @@ def mult_order_scan(a: int, p: int) -> int:
     return t
 
 
+def _no_annihilator(bound: int, p: int) -> InvariantError:
+    return InvariantError(f"no divisor of {bound} annihilates F mod {p}")
+
+
 def order_of_appearance(p: int) -> int:
     """Rank of apparition z(p): least l >= 1 with F_l = 0 mod p.
 
@@ -262,7 +313,7 @@ def order_of_appearance(p: int) -> int:
         raise ConfigError(f"order_of_appearance requires a prime, got {p}")
     bound = p - _legendre5_of_prime(p)
     if fib_mod(bound, p) != 0:
-        raise InvariantError(f"no divisor of {bound} annihilates F mod {p}")
+        raise _no_annihilator(bound, p)
     return _strip_factors(bound, lambda l: fib_mod(l, p) == 0)
 
 
@@ -322,3 +373,73 @@ def prime_record(p: int) -> PrimeRecord:
         z_p=order_of_appearance(p),
         legendre5=_legendre5_of_prime(p),
     )
+
+
+def _strip_array(bound: np.ndarray, p: np.ndarray,
+                 holds: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> np.ndarray:
+    """_strip_factors across primes: the least d | bound[i] with
+    holds(d, p[i]), for every i at once.
+
+    The divisors that pass are the multiples of the answer, so each prime
+    factor q of a bound is stripped on its own: bound / q^j passes exactly
+    while j <= v_q(bound) - v_q(answer).  The factors come from trial
+    division by the primes <= sqrt(max bound), which leaves at most one
+    prime cofactor; one flat array of (row, factor) pairs is then tested a
+    power of q at a time.
+    """
+    rows, factors = [], []
+    rest = bound.copy()
+    for q in sieve_primes(math.isqrt(int(bound.max()))):
+        hit = np.flatnonzero(rest % q == 0)
+        if hit.size == 0:
+            continue
+        rows.append(hit)
+        factors.append(np.full(hit.size, q, dtype=np.int64))
+        left = rest[hit] // q
+        while (more := left % q == 0).any():
+            left[more] //= q
+        rest[hit] = left
+    big = np.flatnonzero(rest > 1)
+    rows.append(big)
+    factors.append(rest[big])
+    i, q = np.concatenate(rows), np.concatenate(factors)
+    e = bound[i] // q
+    d = bound.copy()
+    while i.size:
+        keep = holds(e, p[i])
+        i, q, e = i[keep], q[keep], e[keep]
+        np.floor_divide.at(d, i, q)
+        keep = e % q == 0
+        i, q, e = i[keep], q[keep], e[keep] // q[keep]
+    return d
+
+
+def order_table(primes: Sequence[int]) -> list[PrimeRecord | InvariantError]:
+    """prime_record for every prime of a sieve at once.
+
+    Entry i is the PrimeRecord of primes[i], or the InvariantError that
+    prime_record(primes[i]) would raise, so a failing prime marks only its
+    own entry.  The primes are taken as prime (they come from a sieve) and
+    no primality test runs; above PRODUCT_GUARD a residue product could
+    overflow int64, so such a list is refused before anything is allocated.
+    """
+    if primes and max(primes) > PRODUCT_GUARD:
+        raise GuardError(f"p = {max(primes)} exceeds the guard {PRODUCT_GUARD}")
+    # a prime carries a few (row, factor) pairs through the kernels, each
+    # with about eight int64 temporaries
+    chunk = SWEEP_ENTRIES // 8
+    table = []
+    for start in range(0, len(primes), chunk):
+        some = primes[start : start + chunk]
+        p = np.array(some, dtype=np.int64)
+        euler = pow_array(5 % p, (p - 1) // 2, p)
+        leg5 = np.where(p == 2, -1, np.where(euler <= 1, euler, -1))
+        t = _strip_array(p - 1, p, lambda e, q: pow_array(2 % q, e, q) == 1)
+        bound = p - leg5
+        ok = fib_pair_array(bound, p)[0] == 0
+        z = _strip_array(bound, p, lambda e, q: fib_pair_array(e, q)[0] == 0)
+        table += [PrimeRecord(p=q, t_p=None if q == 2 else tq, z_p=zq, legendre5=lq)
+                  if good else _no_annihilator(q - lq, q)
+                  for q, tq, zq, lq, good in zip(some, t.tolist(), z.tolist(),
+                                                 leg5.tolist(), ok.tolist())]
+    return table

@@ -5,15 +5,18 @@ families (Fibonacci, Lucas, even-index Fibonacci, powers of a fixed base,
 or an explicit list).  Reducing the block mod p gives a ResidueMultiset;
 its second moment sum_r count(r)^2 counts the ordered index pairs that
 collide mod p, and summing that over all primes p <= N gives the total
-collision count J(N).  j_total computes J(N) by the per-prime loop;
-j_total_pairscan recomputes it from scratch by factoring pairwise
-differences, giving an independent oracle with exact integer arithmetic.
+collision count J(N).  j_total computes J(N) on the sweep path;
+j_total_pairscan recomputes it from scratch from the gcds of pairwise
+differences with the product of the primes, giving an independent oracle
+with exact integer arithmetic.
 
-One generator per job: SequenceSpec.residues steps one term at a time for
-every family and every short block (multisets, J(N), value sets), and
-fib_residue_array serves every Waring window with block jumps of about
-sqrt(length) terms in Python and one vector combination in uint64,
-checked against SequenceSpec.residues as its oracle.
+One generator per job: block_stats, the sweep path, reduces a block mod
+every prime of a sieve at once (a matrix of primes x terms, filled by
+jumps of the family recurrence) and serves J(N) and value sets;
+SequenceSpec.residues steps one term at a time for one prime (multisets
+and norms) and is the sweep's oracle; fib_residue_array serves every
+Waring window with block jumps of about sqrt(length) terms in Python and
+one vector combination in uint64, checked against SequenceSpec.residues.
 """
 
 import math
@@ -23,13 +26,18 @@ from typing import Iterator, Optional, Sequence
 import numpy as np
 
 from .errors import ConfigError, GuardError
-from .numtheory import (INDEX_CAP, PRODUCT_GUARD, exact_fraction, fib_pair_mod,
-                        sieve_primes)
+from .numtheory import (INDEX_CAP, PRODUCT_GUARD, SWEEP_ENTRIES, exact_fraction,
+                        fib_pair_array, fib_pair_mod, pow_array, sieve_primes)
 
 FAMILIES = ("fibonacci", "lucas", "fibonacci-even", "power", "explicit")
 
 # About 5000 decimal digits; F_n has roughly 0.209 n digits.
 DIGIT_GUARD = 5000
+
+# Explicit values are reduced by Horner's rule on 31-bit limbs: a residue
+# below PRODUCT_GUARD < 2^31.5 shifted by 31 bits, plus a limb, stays
+# below 2^63.
+_LIMB = 31
 
 
 @dataclass(frozen=True)
@@ -206,6 +214,111 @@ def fib_residue_array(lo: int, hi: int, p: int) -> np.ndarray:
     return terms.ravel()[:n].view(np.int64)
 
 
+def _limbs(values: Sequence[int]) -> np.ndarray:
+    """values as rows of 31-bit limbs, most significant first."""
+    count = max(1, -(-max(values).bit_length() // _LIMB))
+    mask = (1 << _LIMB) - 1
+    return np.array([[(v >> (_LIMB * k)) & mask for k in range(count - 1, -1, -1)]
+                     for v in values], dtype=np.int64)
+
+
+def _reduce_limbs(limbs: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """The values behind `limbs` mod each prime: a (len(p), len(limbs)) matrix."""
+    col = p[:, None]
+    r = np.zeros((len(p), len(limbs)), dtype=np.int64)
+    for k in range(limbs.shape[1]):
+        r = ((r << _LIMB) | limbs[:, k]) % col
+    return r
+
+
+def _fill_fibonacci(x: np.ndarray, p: np.ndarray) -> None:
+    """Fill the rows of x with a sequence obeying x_{j+2} = x_{j+1} + x_j
+    mod p, from its first two columns, by jumps that double the filled
+    width: x_{j+m+1} = F_m x_j + F_{m+1} x_{j+1}."""
+    col = p[:, None]
+    f_m, f_m1 = np.ones_like(col), np.ones_like(col)     # F_1, F_2
+    m = 1
+    while m + 1 < x.shape[1]:
+        take = min(m, x.shape[1] - m - 1)
+        x[:, m + 1 : m + 1 + take] = (f_m * x[:, :take] % col
+                                      + f_m1 * x[:, 1 : take + 1] % col) % col
+        f_m, f_m1 = (f_m * ((2 * f_m1 - f_m) % col) % col,      # F_2m, F_2m+1
+                     (f_m * f_m % col + f_m1 * f_m1 % col) % col)
+        m *= 2
+
+
+def _fill_power(x: np.ndarray, base: np.ndarray, p: np.ndarray) -> None:
+    """Fill the rows of x with x_j = x_0 base^j mod p by doubling jumps:
+    x_{j+m} = x_j base^m."""
+    col = p[:, None]
+    step = base[:, None]
+    m = 1
+    while m < x.shape[1]:
+        take = min(m, x.shape[1] - m)
+        x[:, m : m + take] = x[:, :take] * step % col
+        step = step * step % col
+        m += take
+
+
+def _block_rows(spec: SequenceSpec, p: np.ndarray, limbs: Optional[np.ndarray]) -> np.ndarray:
+    """x_n mod p for n = index_lo..index_hi, one int64 row per prime of p;
+    the rows agree with SequenceSpec.residues."""
+    lo = spec.index_lo
+    if spec.family == "explicit":
+        return _reduce_limbs(limbs, p)
+    if spec.family == "power":
+        x = np.empty((len(p), len(spec)), dtype=np.int64)
+        base = _reduce_limbs(limbs, p)[:, 0]
+        x[:, 0] = pow_array(base, lo, p)
+        _fill_power(x, base, p)
+        return x
+    # the even-index block F_2lo, ..., F_2hi is every other Fibonacci term
+    stride = 2 if spec.family == "fibonacci-even" else 1
+    x = np.empty((len(p), stride * (len(spec) - 1) + 2), dtype=np.int64)
+    a, b = fib_pair_array(stride * lo, p)
+    if spec.family == "lucas":
+        # L_n = 2 F_{n+1} - F_n and L_{n+1} = 2 F_n + F_{n+1}
+        a, b = (2 * b - a) % p, (2 * a + b) % p
+    x[:, 0], x[:, 1] = a, b
+    _fill_fibonacci(x, p)
+    return x[:, : stride * (len(spec) - 1) + 1 : stride]
+
+
+def block_stats(spec: SequenceSpec, primes: Sequence[int]) -> tuple[list[int], list[int]]:
+    """The sweep path: (collisions, distinct) of the block mod every prime,
+    as two lists of ints, equal to collision_stats(ResidueMultiset.from_spec)
+    prime by prime.
+
+    The block is reduced mod a chunk of about SWEEP_ENTRIES / |block| primes
+    at once, one row per prime; each row is sorted, and a row's collisions
+    are the sum of its squared run lengths and its distinct count the
+    number of runs.  Primes above PRODUCT_GUARD are refused, as a residue
+    product could overflow int64.
+    """
+    if primes and max(primes) > PRODUCT_GUARD:
+        raise GuardError(f"p = {max(primes)} exceeds the guard {PRODUCT_GUARD}")
+    limbs = None
+    if spec.family == "explicit":
+        limbs = _limbs(spec.values[spec.index_lo - 1 : spec.index_hi])
+    elif spec.family == "power":
+        limbs = _limbs([spec.base])
+    width = len(spec) * (2 if spec.family == "fibonacci-even" else 1)
+    rows = max(1, SWEEP_ENTRIES // width)
+    collisions: list[int] = []
+    distinct: list[int] = []
+    for start in range(0, len(primes), rows):
+        p = np.array(primes[start : start + rows], dtype=np.int64)
+        x = np.sort(_block_rows(spec, p, limbs), axis=1)
+        new_run = np.ones(x.shape, dtype=bool)
+        new_run[:, 1:] = x[:, 1:] != x[:, :-1]
+        runs = np.diff(np.flatnonzero(new_run), append=x.size)
+        counts = new_run.sum(axis=1)
+        first = np.cumsum(counts) - counts
+        collisions += np.add.reduceat(runs * runs, first).tolist()
+        distinct += counts.tolist()
+    return collisions, distinct
+
+
 @dataclass(frozen=True)
 class ResidueMultiset:
     """Counts of x_n mod p over an index block; total = block length."""
@@ -264,26 +377,31 @@ class JTotal:
 
 
 def j_total(spec: SequenceSpec, nmax: int) -> JTotal:
-    """Exact J(N) by the per-prime residue loop."""
+    """Exact J(N) on the sweep path (block_stats)."""
     primes = sieve_primes(nmax)
-    per_prime = []
-    total = 0
-    for p in primes:
-        jp = collision_stats(ResidueMultiset.from_spec(spec, p)).collisions
-        per_prime.append((p, jp))
-        total += jp
+    collisions, _ = block_stats(spec, primes)
+    total = sum(collisions)
     main = len(primes) * len(spec)
     return JTotal(total=total, main_term=main, residual=total - main,
-                  per_prime=tuple(per_prime))
+                  per_prime=tuple(zip(primes, collisions)))
+
+
+def _product(xs: list[int]) -> int:
+    """The product of xs by a product tree, pairing factors of like size."""
+    while len(xs) > 1:
+        xs = [math.prod(xs[i : i + 2]) for i in range(0, len(xs), 2)]
+    return xs[0] if xs else 1
 
 
 def j_total_pairscan(values: Sequence[int], nmax: int) -> int:
     """Oracle for J(N): the diagonal gives pi(N)*|X| and each unordered
     pair {x, y} adds 2 * #{p <= N : p divides |x - y|}.
 
-    A repeated value (difference 0) is divisible by every prime, matching
-    the multiset convention of the per-prime loop.  Exact big-integer
-    arithmetic throughout.
+    Those primes are the prime factors of g = gcd(|x - y|, prod_{p <= N} p),
+    which is squarefree, so trial division up to sqrt(g) counts them.  A
+    repeated value (difference 0) is divisible by every prime, matching the
+    multiset convention of j_total.  Exact big-integer arithmetic
+    throughout, and no residues mod p.
     """
     vals = list(values)
     if not vals:
@@ -294,14 +412,22 @@ def j_total_pairscan(values: Sequence[int], nmax: int) -> int:
         raise GuardError(f"values exceed {DIGIT_GUARD} digits")
     primes = sieve_primes(nmax)
     npr = len(primes)
+    primorial = _product(primes)
     total = npr * len(vals)
     for i in range(len(vals)):
         for j in range(i + 1, len(vals)):
             d = abs(vals[i] - vals[j])
             if d == 0:
                 total += 2 * npr
-            else:
-                total += 2 * sum(1 for p in primes if d % p == 0)
+                continue
+            g = math.gcd(d, primorial)
+            for p in primes:
+                if p * p > g:
+                    break
+                if g % p == 0:
+                    total += 2
+                    g //= p
+            total += 2 * (g > 1)
     return total
 
 
@@ -339,19 +465,16 @@ def value_set_survey(spec: SequenceSpec, nmax: int, delta: float) -> ValueSetSur
     d = exact_fraction(delta)
     if d <= 0:
         raise ConfigError("delta must be positive")
-    rows = []
-    hits = 0
-    for p in sieve_primes(nmax):
-        ms = ResidueMultiset.from_spec(spec, p)
-        size, distinct = ms.total, len(ms.counts)
-        if (size - distinct) * d <= size:   # deviation <= 1/delta
-            hits += 1
-        rows.append(ValueSetRow(p=p, size=size, distinct=distinct,
-                                deviation=(size - distinct) / size))
-    if not rows:
+    primes = sieve_primes(nmax)
+    if not primes:
         raise ConfigError(f"no primes <= {nmax}")
-    return ValueSetSurvey(rows=tuple(rows), delta=float(d),
-                          fraction=hits / len(rows))
+    size = len(spec)
+    _, distinct = block_stats(spec, primes)
+    # deviation <= 1/delta, that is (size - k) * d <= size
+    hits = sum((size - k) * d.numerator <= size * d.denominator for k in distinct)
+    rows = tuple(ValueSetRow(p=p, size=size, distinct=k, deviation=(size - k) / size)
+                 for p, k in zip(primes, distinct))
+    return ValueSetSurvey(rows=rows, delta=float(d), fraction=hits / len(rows))
 
 
 def fib_even_distinctness(p: int, lo: int, hi: int) -> bool:

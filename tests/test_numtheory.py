@@ -3,11 +3,16 @@
 import math
 import random
 from fractions import Fraction
+from unittest import mock
 
+import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
+import sparsemod.numtheory as nt
 from sparsemod import (
     ConfigError,
+    GuardError,
     InvariantError,
     fib_lucas_mod,
     fib_mod,
@@ -25,12 +30,19 @@ from sparsemod import (
 from sparsemod.numtheory import (
     INDEX_CAP,
     MODULUS_CAP,
+    PRODUCT_GUARD,
     exact_fraction,
+    fib_pair_array,
     fib_pair_mod,
     mult_order_scan,
     order_of_appearance_scan,
+    order_table,
+    pow_array,
     prime_factors,
 )
+
+# The largest primes the sweep kernels accept.
+TOP_PRIMES = [q for q in range(PRODUCT_GUARD, PRODUCT_GUARD - 200, -1) if is_prime(q)]
 
 
 def fib_list(n):
@@ -302,6 +314,74 @@ class TestPrimeRecord:
             calls.clear()
             prime_record(p)
             assert calls == [p, p]
+
+
+class TestSweepKernels:
+    @given(st.lists(st.tuples(st.integers(0, INDEX_CAP), st.integers(0, INDEX_CAP),
+                              st.integers(2, PRODUCT_GUARD)), min_size=1, max_size=20))
+    @example([(INDEX_CAP, INDEX_CAP, PRODUCT_GUARD), (0, 0, 2), (1, PRODUCT_GUARD - 1, PRODUCT_GUARD)])
+    def test_match_the_scalar_kernels(self, cases):
+        """Fast doubling and square-and-multiply across moduli, against the
+        scalar fib_pair_mod and pow, up to the guard."""
+        n, x, m = (np.array(col, dtype=np.int64) for col in zip(*cases))
+        a, b = fib_pair_array(n, m)
+        assert list(zip(a.tolist(), b.tolist())) == [fib_pair_mod(*c[::2]) for c in cases]
+        got = pow_array(x % m, n, m)
+        assert got.tolist() == [pow(xc, nc, mc) for nc, xc, mc in cases]
+
+    def test_scalar_index_is_checked(self):
+        with pytest.raises(ConfigError):
+            fib_pair_array(INDEX_CAP + 1, np.array([7]))
+
+
+class TestOrderTable:
+    @given(st.sets(st.sampled_from(sieve_primes(3000)), max_size=40))
+    def test_matches_records_and_scans(self, extra):
+        """order_table against prime_record and the linear-scan oracles."""
+        primes = sorted({2, 3, 5} | extra)
+        table = order_table(primes)
+        assert table == [prime_record(p) for p in primes]
+        with mock.patch.object(nt, "SWEEP_ENTRIES", 24):   # chunks of 3 primes
+            assert order_table(primes) == table
+        for rec in table:
+            assert rec.t_p == (None if rec.p == 2 else mult_order_scan(2, rec.p))
+            assert rec.z_p == order_of_appearance_scan(rec.p)
+            assert rec.legendre5 == legendre5(rec.p)
+
+    def test_every_prime_to_2e4_and_at_the_guard(self):
+        primes = sieve_primes(20_000) + TOP_PRIMES[::-1]
+        assert order_table(primes) == [prime_record(p) for p in primes]
+
+    def test_empty(self):
+        assert order_table([]) == []
+
+    def test_guard_refused_before_allocating(self):
+        import tracemalloc
+
+        primes = sieve_primes(10**6) + [PRODUCT_GUARD + 2]   # 0.6 MB as int64
+        tracemalloc.start()
+        try:
+            with pytest.raises(GuardError):
+                order_table(primes)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10**5
+
+    def test_failing_prime_marks_only_its_entry(self, monkeypatch):
+        real = nt.fib_pair_array
+
+        def planted(n, p):
+            a, b = real(n, p)
+            return np.where(p == 13, 1, a), b
+
+        monkeypatch.setattr(nt, "fib_pair_array", planted)
+        primes = sieve_primes(50)
+        table = order_table(primes)
+        bad = table[primes.index(13)]
+        assert isinstance(bad, InvariantError)
+        assert str(bad) == "no divisor of 14 annihilates F mod 13"
+        assert [r for r in table if r is not bad] == [prime_record(p) for p in primes if p != 13]
 
 
 class TestClassicalIdentities:

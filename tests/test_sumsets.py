@@ -5,6 +5,7 @@ import math
 import random
 import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -533,6 +534,19 @@ class TestWaringConstructive:
     def test_target_reduced_mod_p(self):
         assert waring_constructive(101, 5000, 5.0, 106).target == 5
 
+    def test_witness_table_memory_is_bounded(self):
+        """The witness table is built a block of F rows at a time, so the
+        |F| x |L| = 1581 x 1414 pairs at p = 30011 are never held at once
+        (one int64 array of them alone is 17.9 MB)."""
+        tracemalloc.start()
+        try:
+            rep = waring_constructive(30011, 10**7, 5.0, 17)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (rep.f_size, rep.l_size) == (1581, 1414)
+        assert peak < 16 * 10**6
+
     def test_product_guard(self):
         """Residue products (p - 1)^2 must stay exact in int64."""
         assert sumsets.PRODUCT_GUARD == 3_037_000_499
@@ -560,6 +574,8 @@ class TestWaringConstructive:
                    for xs in (f_wit, f_wit.values(), l_wit, l_wit.values())]
         got = sumsets._product_witnesses(*windows, p)
         assert got == want and list(got) == sorted(want)
+        with mock.patch.object(sumsets, "SWEEP_ENTRIES", 5):   # blocks of F rows
+            assert sumsets._product_witnesses(*windows, p) == got
 
     def test_exceptional_prime_refused(self):
         # p = 211: the even-index window tops out at 21 distinct residues

@@ -9,6 +9,7 @@ import sys
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from sparsemod import (
@@ -171,6 +172,17 @@ class TestOrdersSurvey:
     def test_rows_are_prime_records(self):
         assert list(orders_survey(500).rows) == [prime_record(p) for p in sieve_primes(500)]
 
+    def test_no_primality_tests(self, monkeypatch):
+        """The sieve's primes are prime by construction; order_table runs no
+        Miller-Rabin on them."""
+        import sparsemod.numtheory as nt
+
+        calls = []
+        real = nt.is_prime
+        monkeypatch.setattr(nt, "is_prime", lambda n: calls.append(n) or real(n))
+        assert len(orders_survey(2000).rows) == 303
+        assert calls == []
+
     def test_threshold_zero_counts_everything(self):
         rep = orders_survey(100, 0.0)
         assert rep.z_fraction == 1.0    # z(p) >= 1 > p^0 is false... z > 1 holds
@@ -226,6 +238,23 @@ def test_waring_golden_output(argv, want, capsys):
     examples and windows far longer than one Pisano period."""
     assert main(argv) == 0
     assert capsys.readouterr().out == want
+
+
+@pytest.mark.parametrize(
+    "argv, want", golden_runs(Path(__file__).parent / "data" / "sweep_cli_golden.txt"),
+    ids=lambda v: " ".join(v) if isinstance(v, list) else "")
+def test_sweep_golden_output(argv, want, capsys):
+    """orders and jcount print the bytes recorded from the per-prime loops
+    the sweep path replaced, and jcount's pairscan oracle agrees."""
+    assert main(argv) == 0
+    assert capsys.readouterr().out == want
+
+
+def no_zero_fibonacci(n, p):
+    """A planted sweep Fibonacci kernel under which F_n = F_{n+1} = 1 mod
+    every p, so no divisor of p - (5|p) annihilates F."""
+    one = np.ones(np.broadcast_shapes(np.shape(n), np.shape(p)), dtype=np.int64)
+    return one, one
 
 
 class TestCliExitCodes:
@@ -294,7 +323,7 @@ class TestCliExitCodes:
     def test_survey_orders_failure_keeps_report(self, tmp_path, capsys, monkeypatch):
         import sparsemod.numtheory as nt
 
-        monkeypatch.setattr(nt, "fib_mod", lambda n, m: 1)
+        monkeypatch.setattr(nt, "fib_pair_array", no_zero_fibonacci)
         out = tmp_path / "r.csv"
         code = main(["survey", "--nmax", "50", "--out", str(out), "--format", "csv"])
         assert code == 3
@@ -327,7 +356,7 @@ class TestCliExitCodes:
     def test_orders_without_zero_divisor_exits_3(self, capsys, monkeypatch):
         import sparsemod.numtheory as nt
 
-        monkeypatch.setattr(nt, "fib_mod", lambda n, m: 1)
+        monkeypatch.setattr(nt, "fib_pair_array", no_zero_fibonacci)
         assert main(["orders", "--nmax", "20"]) == 3
         assert "annihilates" in capsys.readouterr().err
 

@@ -2,6 +2,7 @@
 
 import math
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from sparsemod import (
     CollisionStats,
     ConfigError,
     GuardError,
+    JTotal,
     ResidueMultiset,
     SequenceSpec,
     collision_stats,
@@ -22,8 +24,9 @@ from sparsemod import (
     sieve_primes,
     value_set_survey,
 )
-from sparsemod.numtheory import PRODUCT_GUARD, is_prime
-from sparsemod.valueset import fib_residue_array
+import sparsemod.valueset as valueset
+from sparsemod.numtheory import INDEX_CAP, PRODUCT_GUARD, is_prime
+from sparsemod.valueset import FAMILIES, block_stats, fib_residue_array
 
 # The largest modulus the int64 stepper accepts that is prime.
 TOP_PRIME = next(q for q in range(PRODUCT_GUARD, 0, -1) if is_prime(q))
@@ -32,6 +35,23 @@ TOP_PRIME = next(q for q in range(PRODUCT_GUARD, 0, -1) if is_prime(q))
 block_lengths = st.sampled_from((1, 2)) | st.builds(
     lambda r, d: r * r + d, st.integers(1, 60), st.sampled_from((-1, 0, 1))
 ).filter(lambda n: n >= 1)
+
+
+@st.composite
+def sequence_specs(draw):
+    """A block of any family: indices near 1 or near INDEX_CAP (near
+    INDEX_CAP / 2 for the even-index family, whose seed index is 2 lo),
+    power bases past 2^32, explicit values past 2^64."""
+    family = draw(st.sampled_from(FAMILIES))
+    length = draw(st.integers(1, 40))
+    if family == "explicit":
+        values = draw(st.sets(st.integers(1, 50) | st.integers(1, 2**80),
+                              min_size=length, max_size=length))
+        return SequenceSpec.explicit(sorted(values))
+    top = INDEX_CAP // 2 if family == "fibonacci-even" else INDEX_CAP
+    lo = draw(st.integers(1, 10**6) | st.integers(top - 100, top - length + 1))
+    base = draw(st.integers(2, 2**70)) if family == "power" else None
+    return SequenceSpec(family, lo, lo + length - 1, base=base)
 
 
 def brute_residues(values, p):
@@ -182,6 +202,19 @@ class TestJTotal:
         assert j_total_pairscan([1, 10**6 + 1], 100) == 2 * 25 + 4
         assert j_total_pairscan([12345], 1000) == len(sieve_primes(1000))
 
+    @given(st.lists(st.integers(1, 10**6) | st.integers(1, 2**70), min_size=1, max_size=8),
+           st.integers(0, 3000))
+    @example([1, 1 + 2 * 2969 * 2999], 3000)   # one factor is left above sqrt(g)
+    @example([5, 5, 7], 100)
+    def test_pairscan_counts_prime_divisors(self, vals, nmax):
+        """The gcd with the primorial, factored by trial division, against
+        testing every prime p <= N on every difference."""
+        primes = sieve_primes(nmax)
+        want = len(primes) * len(vals) + 2 * sum(
+            sum(1 for p in primes if (x - y) % p == 0)
+            for i, x in enumerate(vals) for y in vals[i + 1 :])
+        assert j_total_pairscan(vals, nmax) == want
+
     def test_oracle_equivalence_random(self):
         """Per-prime loop equals the difference-factoring scan on explicit specs."""
         rng = random.Random(424242)
@@ -204,6 +237,44 @@ class TestJTotal:
         pi = len(sieve_primes(100))
         assert jt.total == 4 * pi
         assert jt.total == j_total_pairscan([1, 1], 100)
+
+
+class TestBlockStats:
+    @given(sequence_specs(), st.sets(st.sampled_from(sieve_primes(2000)), max_size=30),
+           st.booleans())
+    @example(SequenceSpec.explicit((1, 2**64 + 1, 2**64 + 7, 3 * 2**64 + 5, 2**200)), set(), True)
+    @example(SequenceSpec.power(2**32 + 15, 1, 30), set(), True)
+    @example(SequenceSpec.fibonacci(INDEX_CAP - 9, INDEX_CAP), {7, 11}, True)
+    @example(SequenceSpec.lucas(INDEX_CAP - 9, INDEX_CAP), {7, 11}, True)
+    @example(SequenceSpec.fibonacci_even(INDEX_CAP // 2 - 9, INDEX_CAP // 2), {7, 11}, True)
+    @example(SequenceSpec.power(3, INDEX_CAP - 9, INDEX_CAP), {7, 11}, True)
+    def test_matches_multisets(self, spec, extra, at_guard):
+        """The sweep against ResidueMultiset.from_spec prime by prime, in
+        one chunk and in chunks of one or a few primes."""
+        primes = sorted({2, 3, 5} | extra | ({TOP_PRIME} if at_guard else set()))
+        stats = [collision_stats(ResidueMultiset.from_spec(spec, p)) for p in primes]
+        want = ([s.collisions for s in stats], [s.distinct for s in stats])
+        assert block_stats(spec, primes) == want
+        with mock.patch.object(valueset, "SWEEP_ENTRIES", 7):
+            assert block_stats(spec, primes) == want
+
+    def test_even_index_seed_is_checked_like_the_scalar_path(self):
+        spec = SequenceSpec.fibonacci_even(INDEX_CAP // 2 + 1, INDEX_CAP // 2 + 3)
+        with pytest.raises(ConfigError, match="outside"):
+            list(spec.residues(7))
+        with pytest.raises(ConfigError, match="outside"):
+            block_stats(spec, [7])
+
+    def test_guard(self):
+        with pytest.raises(GuardError):
+            block_stats(SequenceSpec.fibonacci(1, 5), [2, PRODUCT_GUARD + 2])
+
+    def test_no_primes(self):
+        spec = SequenceSpec.fibonacci(1, 60)
+        assert block_stats(spec, []) == ([], [])
+        assert j_total(spec, 1) == JTotal(total=0, main_term=0, residual=0, per_prime=())
+        with pytest.raises(ConfigError):
+            value_set_survey(spec, 1, 10.0)
 
 
 class TestDigitMagnitude:
