@@ -19,7 +19,8 @@ from multiprocessing import Pool
 from typing import Optional
 
 from .errors import ConfigError, GuardError, InvariantError
-from .numtheory import PrimeRecord, exact_fraction, ipow_floor, order_table, sieve_primes
+from .numtheory import (PrimeRecord, exact_fraction, ipow_floor, order_table, prime_record,
+                        sieve_primes)
 from .valueset import ResidueMultiset, SequenceSpec, collision_stats
 from .sumsets import WARING_TERMS, waring_fib_direct
 from .expsums import norm_report
@@ -103,17 +104,15 @@ class SurveyReport:
     aggregates: dict
 
 
-def _survey_row(args: tuple[int, SequenceSpec, int, PrimeRecord | InvariantError]) -> SurveyRow:
-    """One prime's row, given its order_table entry.  Every stage runs under
-    one try: a stage that fails marks the row's status and leaves its own
-    and all later fields empty."""
-    p, seq, max_index, rec = args
+def _survey_row(args: tuple[int, SequenceSpec, int]) -> SurveyRow:
+    """One prime's row.  Every stage runs under one try: a stage that fails
+    marks the row's status and leaves its own and all later fields empty."""
+    p, seq, max_index = args
     status = "ok" if p != 2 else "partial:t_p"
     t_p = z_p = leg5 = s_min = l1 = l2sq = energy = ratio = None
     vs_size = vs_distinct = None
     try:
-        if isinstance(rec, InvariantError):
-            raise rec
+        rec = prime_record(p)
         t_p, z_p, leg5 = rec.t_p, rec.z_p, rec.legendre5
         s_min = waring_fib_direct(p, max_index, WARING_TERMS).s_min
         ms = ResidueMultiset.from_spec(seq, p)
@@ -162,7 +161,7 @@ def run_survey(config: SurveyConfig) -> SurveyReport:
     seq = config.resolved_sequence()
     max_index = config.waring_max_index()
     primes = sieve_primes(config.nmax)
-    jobs = [(p, seq, max_index, rec) for p, rec in zip(primes, order_table(primes))]
+    jobs = [(p, seq, max_index) for p in primes]
     if config.workers > 1 and len(jobs) > 1:
         with Pool(config.workers) as pool:
             rows = tuple(pool.map(_survey_row, jobs, chunksize=32))

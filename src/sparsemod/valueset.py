@@ -12,11 +12,15 @@ with exact integer arithmetic.
 
 One generator per job: block_stats, the sweep path, reduces a block mod
 every prime of a sieve at once (a matrix of primes x terms, filled by
-jumps of the family recurrence) and serves J(N) and value sets;
+doubling jumps of the family recurrence) and serves J(N) and value sets;
 SequenceSpec.residues steps one term at a time for one prime (multisets
-and norms) and is the sweep's oracle; fib_residue_array serves every
-Waring window with block jumps of about sqrt(length) terms in Python and
-one vector combination in uint64, checked against SequenceSpec.residues.
+and norms) and is the oracle of both array generators; fib_residue_array
+serves every Waring window, one long Fibonacci block mod one prime, with
+block jumps of about sqrt(length) terms in Python and one vector
+combination in uint64.  A one-row sweep matrix gives the same window, but
+its doubling fill pays a dozen numpy calls per doubling and three int64
+reductions per term, so it is slower at every window length the Waring
+layer asks for (BENCH_11.json has the timings).
 """
 
 import math

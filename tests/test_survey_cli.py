@@ -323,7 +323,7 @@ class TestCliExitCodes:
     def test_survey_orders_failure_keeps_report(self, tmp_path, capsys, monkeypatch):
         import sparsemod.numtheory as nt
 
-        monkeypatch.setattr(nt, "fib_pair_array", no_zero_fibonacci)
+        monkeypatch.setattr(nt, "fib_mod", lambda n, m: 1)
         out = tmp_path / "r.csv"
         code = main(["survey", "--nmax", "50", "--out", str(out), "--format", "csv"])
         assert code == 3
