@@ -3,8 +3,9 @@
 
 Walks through the collision count J(N) = sum over p <= N of the number of
 ordered pairs (x, y) with x = y mod p, for Fibonacci blocks and explicit
-lists: the per-prime loop, the independent difference-factoring oracle,
-and the value-set survey that counts how many residues survive reduction.
+lists: the sweep path (block_stats, every prime at once), the independent
+difference-factoring oracle, and the value-set survey that counts how many
+residues survive reduction.
 """
 
 import math
@@ -39,7 +40,7 @@ def main():
     oracle = j_total_pairscan(vals, 10_000)
     m = digit_magnitude(vals)
     print(f"  block F_1..F_40 (digit magnitude M = {m})")
-    print(f"  per-prime loop: J(10^4) = {res.total}")
+    print(f"  sweep path:     J(10^4) = {res.total}")
     print(f"  pair scan:      J(10^4) = {oracle}")
     print(f"  diagonal pi(N)*|X| = {res.main_term}, residual = {res.residual}")
     scale = len(vals) ** 2 * m / math.log(m)

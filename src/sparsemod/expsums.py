@@ -9,9 +9,9 @@ baby-step/giant-step product, about K sqrt(p) phases and one complex
 matrix product, and the moduli are summed exactly (_exact_sum, equal to
 math.fsum).  L2sq = sum_r c_r^2 is the collision count (Parseval) and
 T = sum_s r(s)^2, with r(s) = sum_{x+y=s} c_x c_y, the number of index
-quadruples with x_a + x_b = x_c + x_d; both are exact integers, T tallied
-over the K^2 pair sums of the support.  Chain facts are enforced as
-postconditions, not just tests:
+quadruples with x_a + x_b = x_c + x_d; both are exact integers, r(s) read
+off the pair-count table of the support (valueset).  Chain facts are
+enforced as postconditions, not just tests:
 
     L1^2 <= L2sq               (Cauchy-Schwarz)
     L2sq <= L1^(2/3) T^(1/3)   (Hoelder)
@@ -28,10 +28,9 @@ import numpy as np
 
 from .errors import ConfigError, GuardError, InvariantError
 from .numtheory import exact_fraction, ipow_floor, is_prime, is_primitive_root
-from .valueset import ResidueMultiset, SequenceSpec, collision_stats
+from .valueset import SIZE_GUARD, ResidueMultiset, SequenceSpec, _pair_counts, collision_stats
 
 P_GUARD = 1_000_000
-SIZE_GUARD = 100_000
 CHAIN_RTOL = 1e-6
 CHUNK = 4_000_000   # elements per temporary (pair-sum, phase or gather) block
 
@@ -113,25 +112,6 @@ def _l1_geometric(ms: ResidueMultiset) -> float:
     return (ms.total + 2 * _exact_sum(mod)) / ms.p
 
 
-def _pair_sum_energy(ms: ResidueMultiset) -> int:
-    """T = sum_s r(s)^2, tallying the K^2 pair sums of the support in row
-    blocks.  r(s) <= size^2 is exact in int64 for any block that fits in
-    memory; r(s)^2 need not be, so the squares are summed as Python ints."""
-    p = ms.p
-    support = np.fromiter(ms.counts, dtype=np.int64)
-    weights = np.fromiter(ms.counts.values(), dtype=np.int64)
-    sums = r = np.empty(0, dtype=np.int64)
-    step = max(1, CHUNK // len(support))
-    for i in range(0, len(support), step):
-        block = (support[i : i + step, None] + support) % p
-        sums = np.concatenate([sums, block.ravel()])
-        r = np.concatenate([r, np.outer(weights[i : i + step], weights).ravel()])
-        order = np.argsort(sums)
-        starts = np.flatnonzero(np.diff(sums[order], prepend=-1))
-        sums, r = sums[order][starts], np.add.reduceat(r[order], starts)
-    return sum(v * v for v in r.tolist())
-
-
 def _check_chain(l1: float, l2sq: float, energy: int, kara: float,
                  p: int) -> None:
     checks = (
@@ -159,7 +139,10 @@ def norm_report(ms: ResidueMultiset) -> NormReport:
     l1 = _l1_geometric(ms)
     collisions = collision_stats(ms).collisions
     l2sq = float(collisions)
-    energy = _pair_sum_energy(ms)
+    support = np.fromiter(ms.counts, dtype=np.int64)
+    weights = np.fromiter(ms.counts.values(), dtype=np.int64)
+    r = _pair_counts(support, support, p, np.add, (weights, weights))
+    energy = sum(v * v for v in r[r > 0].tolist())   # r(s)^2 may pass int64
     kara = math.sqrt(collisions**3 / energy)
     _check_chain(l1, l2sq, energy, kara, p)
     return NormReport(p=p, size=ms.total, l1=l1, l2sq=l2sq, energy=energy,

@@ -16,6 +16,7 @@ that sit:
   theorem) with every residue a sum of s Fibonacci numbers.
 * glibichuk_check: |A||B| > 2p forces the 8-fold sumset of A*B to be all
   of F_p; checked exactly, with a missing-residue witness on failure.
+  A*B, like ternary_count, reads valueset's blockwise pair-count table.
 * waring_constructive: writes any residue as a sum of 16 Fibonacci numbers
   by covering F_p with 8 products F_{2n} L_{2m} and rewriting each product
   as F_{2(n+m)} + F_{2(n-m)}.
@@ -35,7 +36,7 @@ import numpy as np
 
 from .errors import ConfigError, ConstructionError, GuardError, InvariantError
 from .numtheory import PRODUCT_GUARD, SWEEP_ENTRIES, _iroot, exact_fraction, fib_mod
-from .valueset import fib_residue_array
+from .valueset import _pair_counts, fib_residue_array
 
 # The paper's Waring budget: for almost all p <= N, every residue mod p is
 # a sum of 16 Fibonacci numbers with index <= delta(N) sqrt(N).
@@ -194,8 +195,8 @@ def product_set(a: ResidueSet, b: ResidueSet) -> ResidueSet:
         raise ConfigError("mismatched moduli")
     if a.p > PRODUCT_GUARD:
         raise GuardError(f"p = {a.p} exceeds the guard {PRODUCT_GUARD}")
-    prods = a.members()[:, None] * b.members() % a.p
-    return ResidueSet(a.p, _pack_residues(prods.ravel(), a.p))
+    counts = _pair_counts(a.members(), b.members(), a.p, np.multiply)
+    return ResidueSet(a.p, _pack_residues(np.flatnonzero(counts), a.p))
 
 
 def k_fold_sumset(v: ResidueSet, k: int) -> CoverResult:
@@ -388,17 +389,9 @@ def ternary_count(x: ResidueSet, y: ResidueSet, z: ResidueSet,
         raise GuardError(f"|X||Y||Z|^2 = {nx * ny * nz * nz} > {TUPLE_GUARD}")
     lam %= p
 
-    zarr = np.fromiter(z, dtype=np.int64, count=nz)
-    pair_counts = np.zeros(p, dtype=np.int64)
-    step = max(1, 4_000_000 // nz)
-    for i in range(0, nz, step):
-        block = (zarr[i : i + step, None] + zarr[None, :]) % p
-        pair_counts += np.bincount(block.ravel(), minlength=p)
-
-    xy_counts = np.zeros(p, dtype=np.int64)
-    yarr = np.fromiter(y, dtype=np.int64, count=ny)
-    for xv in x:
-        xy_counts += np.bincount(xv * yarr % p, minlength=p)
+    zarr = z.members()
+    pair_counts = _pair_counts(zarr, zarr, p, np.add)
+    xy_counts = _pair_counts(x.members(), y.members(), p, np.multiply)
 
     # count = sum_v #{xy = v} * #{z1+z2 = lam - v}
     idx = (lam - np.arange(p)) % p

@@ -38,6 +38,9 @@ FAMILIES = ("fibonacci", "lucas", "fibonacci-even", "power", "explicit")
 # About 5000 decimal digits; F_n has roughly 0.209 n digits.
 DIGIT_GUARD = 5000
 
+# Longest index block a residue multiset is built from, one term at a time.
+SIZE_GUARD = 100_000
+
 # Explicit values are reduced by Horner's rule on 31-bit limbs: a residue
 # below PRODUCT_GUARD < 2^31.5 shifted by 31 bits, plus a limb, stays
 # below 2^63.
@@ -218,6 +221,21 @@ def fib_residue_array(lo: int, hi: int, p: int) -> np.ndarray:
     return terms.ravel()[:n].view(np.int64)
 
 
+def _pair_counts(x: np.ndarray, y: np.ndarray, p: int, op: np.ufunc,
+                 weights: Optional[tuple[np.ndarray, np.ndarray]] = None) -> np.ndarray:
+    """How many pairs (i, j) of the int64 arrays x, y have op(x[i], y[j]) = s
+    mod p, for every s, as a length-p int64 array; with weights (wx, wy) pair
+    (i, j) counts wx[i] wy[j] times.  Blocks of x rows, about
+    max(SWEEP_ENTRIES, p) pairs each, keep every temporary within the size
+    of the table, and np.add.at keeps the counts exact."""
+    out = np.zeros(p, dtype=np.int64)
+    rows = max(1, max(SWEEP_ENTRIES, p) // max(1, len(y)))
+    for lo in range(0, len(x), rows):
+        w = 1 if weights is None else np.outer(weights[0][lo : lo + rows], weights[1]).ravel()
+        np.add.at(out, (op(x[lo : lo + rows, None], y) % p).ravel(), w)
+    return out
+
+
 def _limbs(values: Sequence[int]) -> np.ndarray:
     """values as rows of 31-bit limbs, most significant first."""
     count = max(1, -(-max(values).bit_length() // _LIMB))
@@ -333,6 +351,8 @@ class ResidueMultiset:
 
     @classmethod
     def from_spec(cls, spec: SequenceSpec, p: int) -> "ResidueMultiset":
+        if len(spec) > SIZE_GUARD:
+            raise GuardError(f"block of {len(spec)} terms exceeds the guard {SIZE_GUARD}")
         counts: dict[int, int] = {}
         for r in spec.residues(p):
             counts[r] = counts.get(r, 0) + 1

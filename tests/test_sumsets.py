@@ -287,6 +287,20 @@ class TestProductSet:
         with pytest.raises(ConfigError):
             product_set(ResidueSet.full(5), ResidueSet.full(7))
 
+    def test_memory_is_bounded(self):
+        """The products are tallied a block of rows at a time, so the
+        4001 x 4001 pairs are never held at once (one int64 array of them
+        alone is 128 MB)."""
+        full = ResidueSet.full(4001)
+        tracemalloc.start()
+        try:
+            prod = product_set(full, full)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert prod == full
+        assert peak < 2 * 10**6
+
     def test_guard(self, monkeypatch):
         """Residue products stay exact in int64 only up to PRODUCT_GUARD."""
         monkeypatch.setattr(sumsets, "PRODUCT_GUARD", 6)

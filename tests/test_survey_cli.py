@@ -353,6 +353,21 @@ class TestCliExitCodes:
         assert bad.waring_s_min is bad.l1 is bad.energy is bad.vs_size is None
         assert all(r.status in ("ok", "partial:t_p") for p, r in rows.items() if p != 13)
 
+    def test_oversized_block_is_refused_at_once(self, capsys):
+        """A block longer than SIZE_GUARD is refused before any of its terms
+        is stepped: littlewood exits 2 on a 10^12-term block, and each
+        survey row keeps its orders and Waring cover and marks the guard."""
+        assert main(["littlewood", "--p", "997", "--nmax", str(10**40),
+                     "--gamma", "0.3"]) == 2
+        assert "guard exceeded: block of 1000000000000 terms" in capsys.readouterr().err
+        seq = parse_sequence_spec("fib:1..1000000000000")
+        rows = run_survey(SurveyConfig(nmax=30, sequence=seq)).rows
+        assert len(rows) == len(sieve_primes(30))
+        for r in rows:
+            assert r.status.startswith("guard:block of 1000000000000 terms")
+            assert r.z_p == order_of_appearance(r.p) and r.waring_s_min is not None
+            assert r.vs_size is r.l1 is r.energy is None
+
     def test_orders_without_zero_divisor_exits_3(self, capsys, monkeypatch):
         import sparsemod.numtheory as nt
 

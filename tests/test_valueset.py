@@ -1,7 +1,9 @@
 """Sequence specs, residue multisets, collision counts, and value-set surveys."""
 
 import math
+import operator
 import random
+from collections import Counter
 from unittest import mock
 
 import numpy as np
@@ -175,6 +177,17 @@ class TestResidueMultiset:
             assert (st.collisions == st.size) == (st.distinct == st.size)
             assert st.distinct * st.collisions >= st.size**2
 
+    def test_from_spec_size_guard(self):
+        """A block longer than SIZE_GUARD is refused before any term is
+        stepped (stepping 10^12 terms would not finish)."""
+        assert valueset.SIZE_GUARD == 100_000
+        with pytest.raises(GuardError, match="block of 1000000000000 terms"):
+            ResidueMultiset.from_spec(SequenceSpec.fibonacci(1, 10**12), 7)
+        with mock.patch.object(valueset, "SIZE_GUARD", 5):
+            assert ResidueMultiset.from_spec(SequenceSpec.lucas(3, 7), 7).total == 5
+            with pytest.raises(GuardError):
+                ResidueMultiset.from_spec(SequenceSpec.lucas(3, 8), 7)
+
     def test_from_counts_validation(self):
         with pytest.raises(ConfigError):
             ResidueMultiset.from_counts(7, {9: 1})   # residue out of range
@@ -275,6 +288,57 @@ class TestBlockStats:
         assert j_total(spec, 1) == JTotal(total=0, main_term=0, residual=0, per_prime=())
         with pytest.raises(ConfigError):
             value_set_survey(spec, 1, 10.0)
+
+
+def brute_pair_counts(x, y, p, op, wx, wy):
+    """The pair-count table from a Counter over every pair."""
+    py_op = {np.add: operator.add, np.multiply: operator.mul}[op]
+    tally = Counter()
+    for a, u in zip(x, wx):
+        for b, v in zip(y, wy):
+            tally[py_op(a, b) % p] += u * v
+    return [tally[s] for s in range(p)]
+
+
+weighted_values = st.lists(st.tuples(st.integers(0, 10**6), st.integers(1, 1000)), max_size=40)
+
+
+class TestPairCounts:
+    @given(st.sampled_from(sieve_primes(60)), weighted_values, weighted_values,
+           st.sampled_from((np.add, np.multiply)), st.booleans(),
+           st.sampled_from((1, 7, valueset.SWEEP_ENTRIES)))
+    @example(7, [], [(3, 1)], np.add, False, 1)
+    @example(7, [(3, 1)], [], np.multiply, True, 1)
+    @example(2, [], [], np.add, True, 1)
+    # 9 (2^26 + 1)^2 > 2^53 is odd, so a float64 tally would round it
+    @example(5, [(0, 2**26 + 1)] * 3, [(5, 2**26 + 1)] * 3, np.add, True, 1)
+    def test_matches_counter(self, p, xs, ys, op, weighted, sweep):
+        """Against a Counter over all pairs, in one block and, with
+        SWEEP_ENTRIES patched small, in blocks of a few rows."""
+        x = np.array([v for v, _ in xs], dtype=np.int64)
+        y = np.array([v for v, _ in ys], dtype=np.int64)
+        wx = [w if weighted else 1 for _, w in xs]
+        wy = [w if weighted else 1 for _, w in ys]
+        weights = (np.array(wx, dtype=np.int64), np.array(wy, dtype=np.int64)) if weighted else None
+        with mock.patch.object(valueset, "SWEEP_ENTRIES", sweep):
+            got = valueset._pair_counts(x, y, p, op, weights)
+        assert got.dtype == np.int64
+        assert got.tolist() == brute_pair_counts(x.tolist(), y.tolist(), p, op, wx, wy)
+
+    def test_rows_longer_than_a_block(self):
+        """|y| > SWEEP_ENTRIES: each block is a single row of x."""
+        rng = random.Random(2024)
+        p = 101
+        x = [rng.randrange(p) for _ in range(3)]
+        y = [rng.randrange(10**6) for _ in range(valueset.SWEEP_ENTRIES + 5)]
+        wx = [rng.randint(1, 9) for _ in x]
+        wy = [rng.randint(1, 9) for _ in y]
+        arrays = [np.array(v, dtype=np.int64) for v in (x, y, wx, wy)]
+        for op in (np.add, np.multiply):
+            got = valueset._pair_counts(arrays[0], arrays[1], p, op)
+            assert got.tolist() == brute_pair_counts(x, y, p, op, [1] * 3, [1] * len(y))
+            got = valueset._pair_counts(arrays[0], arrays[1], p, op, (arrays[2], arrays[3]))
+            assert got.tolist() == brute_pair_counts(x, y, p, op, wx, wy)
 
 
 class TestDigitMagnitude:
