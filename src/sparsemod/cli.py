@@ -11,7 +11,7 @@ import sys
 
 from .errors import ConfigError, GuardError, InvariantError
 from .numtheory import is_prime
-from .valueset import SequenceSpec, digit_magnitude, j_total, j_total_pairscan
+from .valueset import SIZE_GUARD, SequenceSpec, digit_magnitude, j_total, j_total_pairscan
 from .sumsets import (WARING_TERMS, waring_constructive, waring_eps_verify,
                       waring_fib_direct)
 from .expsums import littlewood_fib, littlewood_pow
@@ -115,6 +115,10 @@ def _cmd_survey(args) -> int:
     seq = parse_sequence_spec(args.sequence) if args.sequence else None
     config = SurveyConfig(nmax=args.nmax, gamma=args.gamma, delta_exponent=args.delta_exp,
                           vs_delta=args.vs_delta, workers=args.threads, sequence=seq)
+    block = len(config.resolved_sequence())
+    if block > SIZE_GUARD:
+        # every row would carry the same guard status; refuse the whole run
+        raise GuardError(f"block of {block} terms exceeds the guard {SIZE_GUARD}")
     report = run_survey(config)
     write_report(report, args.out, args.format)
     agg = report.aggregates

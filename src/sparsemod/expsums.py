@@ -6,11 +6,12 @@ additive energy T = (1/p) sum |S|^4.  Only L1 is computed in floats: the
 count vector is real, so |S(p - a)| = |S(a)| and only a = 1..p//2 is
 evaluated.  For a K-residue support those S(a) come from one
 baby-step/giant-step product, about K sqrt(p) phases and one complex
-matrix product, and the moduli are summed exactly (_exact_sum, equal to
-math.fsum).  L2sq = sum_r c_r^2 is the collision count (Parseval) and
-T = sum_s r(s)^2, with r(s) = sum_{x+y=s} c_x c_y, the number of index
-quadruples with x_a + x_b = x_c + x_d; both are exact integers, r(s) read
-off the pair-count table of the support (valueset).  Chain facts are
+matrix product, and the moduli are summed by numpy's pairwise reduction
+(deterministic for a fixed array, within a few ulps of the exact sum).
+L2sq = sum_r c_r^2 is the collision count (Parseval) and T = sum_s r(s)^2,
+with r(s) = sum_{x+y=s} c_x c_y, the number of index quadruples with
+x_a + x_b = x_c + x_d; both are exact integers, r(s) read off the
+pair-count table of the support (valueset).  Chain facts are
 enforced as postconditions, not just tests:
 
     L1^2 <= L2sq               (Cauchy-Schwarz)
@@ -47,35 +48,6 @@ class NormReport:
     karatsuba_lb: float
 
 
-MANT_BITS = 26     # low half of a 53-bit mantissa in _exact_sum
-
-
-def _exact_sum(x: np.ndarray) -> float:
-    """The correctly rounded sum of a finite float64 array (math.fsum's
-    result; OverflowError when it exceeds the float range).
-
-    Each x = M 2^(e - 53) with an integer-valued |M| < 2^53, split exactly
-    in floats as M = hi 2^26 + lo.  Both halves are tallied per exponent e
-    by bincount, whose partial sums stay exact integers below 2^53 for
-    fewer than 2^26 terms; one Python int / int division then rounds
-    once."""
-    if len(x) >= 1 << MANT_BITS:
-        raise GuardError(f"{len(x)} terms exceed the exact-sum guard 2^{MANT_BITS}")
-    if not len(x):
-        return 0.0
-    mant, exp = np.frexp(x)
-    hi = np.floor(np.ldexp(mant, 53 - MANT_BITS))
-    lo = np.ldexp(mant, 53) - np.ldexp(hi, MANT_BITS)
-    e0 = int(exp.min())
-    hi_sums = np.bincount(exp - e0, weights=hi).tolist()
-    lo_sums = np.bincount(exp - e0, weights=lo).tolist()
-    num = 0
-    for h, l in zip(reversed(hi_sums), reversed(lo_sums)):  # Horner in 2^e
-        num = (num << 1) + (int(h) << MANT_BITS) + int(l)
-    shift = e0 - 53                                  # num counts units of 2^shift
-    return num / (1 << -shift) if shift < 0 else float(num << shift)
-
-
 def _half_moduli(ms: ResidueMultiset) -> np.ndarray:
     """|S(a)| for a = 1..p//2, by a baby-step/giant-step product.
 
@@ -109,7 +81,7 @@ def _l1_geometric(ms: ResidueMultiset) -> float:
     mod = _half_moduli(ms)
     if ms.p % 2 == 0:
         mod[-1] *= 0.5
-    return (ms.total + 2 * _exact_sum(mod)) / ms.p
+    return (ms.total + 2 * float(mod.sum())) / ms.p
 
 
 def _check_chain(l1: float, l2sq: float, energy: int, kara: float,
@@ -129,8 +101,8 @@ def _check_chain(l1: float, l2sq: float, energy: int, kara: float,
 
 
 def norm_report(ms: ResidueMultiset) -> NormReport:
-    """L1 from one baby-step/giant-step product, summed exactly; L2sq and
-    the energy as exact integer counts."""
+    """L1 from one baby-step/giant-step product and one pairwise sum; L2sq
+    and the energy as exact integer counts."""
     if ms.total < 1:
         raise ConfigError("empty multiset")
     if ms.p > P_GUARD:

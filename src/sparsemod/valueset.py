@@ -365,7 +365,10 @@ class ResidueMultiset:
         for r, c in counts.items():
             if not 0 <= r < p or c < 1:
                 raise ConfigError("counts must map residues in [0,p) to c >= 1")
-        return cls(p=p, counts=dict(counts), total=sum(counts.values()))
+        total = sum(counts.values())
+        if total > SIZE_GUARD:
+            raise GuardError(f"multiset of {total} terms exceeds the guard {SIZE_GUARD}")
+        return cls(p=p, counts=dict(counts), total=total)
 
 
 @dataclass(frozen=True)

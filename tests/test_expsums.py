@@ -24,6 +24,7 @@ from sparsemod import (
     norm_report,
     sieve_primes,
 )
+from sparsemod.valueset import SIZE_GUARD
 
 
 def brute_norms(ms):
@@ -162,31 +163,33 @@ class TestNormReport:
         assert expsums._l1_geometric(ms) == pytest.approx(whole, rel=1e-13)
         assert expsums._l1_geometric(ms) == pytest.approx(l1_full_scan(ms), rel=1e-12)
 
-    @given(st.lists(st.floats(min_value=-1e300, max_value=1e300,
-                              allow_subnormal=True), max_size=200)
-           | st.lists(st.floats(min_value=0, max_value=1e3), max_size=200))
-    @example([])
-    @example([0.0, -0.0])
-    @example([-0.0])
-    @example([1.0, 2.0**-53, 2.0**-53 * (1 + 2.0**-52)])   # a tie, broken up
-    @example([1.0, -1.0, 5e-324, 1e-300, -1e300, 1e300])
-    @example([2.0**-1074] * 7 + [-(2.0**-1073)])
-    def test_exact_sum_is_fsum(self, xs):
-        got = expsums._exact_sum(np.array(xs, dtype=np.float64))
-        want = math.fsum(xs)
-        assert got == want and math.copysign(1, got) == math.copysign(1, want)
-
-    def test_exact_sum_overflow_raises_like_fsum(self):
-        with pytest.raises(OverflowError):
-            math.fsum([1e308, 1e308])
-        with pytest.raises(OverflowError):
-            expsums._exact_sum(np.array([1e308, 1e308]))
+    @given(small_multisets())
+    @example(ResidueMultiset.from_counts(2, {0: 2, 1: 5}))
+    @example(ResidueMultiset.from_counts(4, {0: 1, 1: 2, 3: 5}))
+    @example(ResidueMultiset.from_spec(SequenceSpec.power(5, 1, 12), 999_983))
+    def test_pairwise_sum_against_fsum(self, ms):
+        """numpy's pairwise sum of the half-spectrum moduli stays within a
+        few ulps of their correctly rounded sum."""
+        mod = expsums._half_moduli(ms)
+        if ms.p % 2 == 0:
+            mod[-1] *= 0.5
+        want = (ms.total + 2 * math.fsum(mod.tolist())) / ms.p
+        assert expsums._l1_geometric(ms) == pytest.approx(want, rel=1e-14)
 
     @given(small_multisets(max_support=8))
     @example(ResidueMultiset.from_counts(2, {0: 2, 1: 5}))
     @example(ResidueMultiset.from_counts(3, {0: 4, 1: 1, 2: 2}))
     def test_pair_sum_energy_against_oracles(self, ms):
         assert norm_report(ms).energy == additive_energy_direct(ms) == brute_energy(ms)
+
+    def test_from_counts_size_guard(self):
+        """A total above SIZE_GUARD is refused like a long block: int64
+        pair counts of a 4*10^9 total would wrap into a false invariant."""
+        with pytest.raises(GuardError, match="multiset of 4000000001 terms"):
+            norm_report(ResidueMultiset.from_counts(7, {0: 4 * 10**9, 1: 1}))
+        ms = ResidueMultiset.from_counts(7, {0: SIZE_GUARD - 3, 1: 2, 5: 1})
+        assert ms.total == SIZE_GUARD
+        assert norm_report(ms).energy == additive_energy_direct(ms)
 
     def test_energy_guard(self, monkeypatch):
         monkeypatch.setattr(expsums, "SIZE_GUARD", 2)

@@ -368,6 +368,15 @@ class TestCliExitCodes:
             assert r.z_p == order_of_appearance(r.p) and r.waring_s_min is not None
             assert r.vs_size is r.l1 is r.energy is None
 
+    def test_survey_oversized_block_exits_2(self, tmp_path, capsys):
+        """Every row would carry the same guard, so the survey is refused
+        before it starts and writes no report."""
+        out = tmp_path / "r.csv"
+        assert main(["survey", "--nmax", "30", "--sequence", "fib:1..1000000000000",
+                     "--format", "csv", "--out", str(out)]) == 2
+        assert "guard exceeded: block of 1000000000000 terms" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_orders_without_zero_divisor_exits_3(self, capsys, monkeypatch):
         import sparsemod.numtheory as nt
 
