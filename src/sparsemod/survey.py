@@ -7,6 +7,13 @@ configured residue block, and its value-set statistics.  Aggregates are
 plain means of row indicators, so the report is a pure function of its
 config: rerunning the same config must reproduce the output byte for byte
 (wall-clock metadata is deliberately excluded).
+
+`write_report` encodes a report straight into its file, so writing one
+holds neither a copy of the rows nor the whole text in memory;
+`survey_csv` and `survey_json` return the same writers' output as a string.
+With workers > 1 the rows come from a forked pool whose workers each run
+BLAS on one thread: the L1 kernel's products are small, and a BLAS thread
+per core in every worker oversubscribed the cores.
 """
 
 import csv
@@ -14,6 +21,8 @@ import dataclasses
 import io
 import json
 import math
+import os
+import sys
 from dataclasses import dataclass
 from multiprocessing import Pool
 from typing import Optional
@@ -156,6 +165,38 @@ def _aggregate(rows: tuple[SurveyRow, ...], config: SurveyConfig) -> dict:
     return agg
 
 
+def _blas_setter() -> Optional[tuple[str, str]]:
+    """(path, symbol) of the thread-count setter of the OpenBLAS this process
+    has loaded, or None.  The library is found by path in /proc/self/maps,
+    as threadpoolctl does (https://github.com/joblib/threadpoolctl); numpy's
+    bundled scipy-openblas exports the first setter, a system OpenBLAS the
+    second."""
+    import ctypes
+    try:
+        with open("/proc/self/maps") as fh:   # the path is a line's last field
+            mapped = {line.split(maxsplit=5)[-1].strip() for line in fh}
+    except OSError:   # no procfs: not Linux
+        return None
+    for path in sorted(m for m in mapped if "openblas" in os.path.basename(m)):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for symbol in ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads"):
+            if hasattr(lib, symbol):
+                return path, symbol
+    return None
+
+
+def _one_blas_thread(path: str, symbol: str) -> None:
+    """Pool initializer: this worker's BLAS runs one thread, so that forked
+    workers do not each start a BLAS thread per core."""
+    import ctypes
+    setter = getattr(ctypes.CDLL(path), symbol)
+    setter.argtypes, setter.restype = [ctypes.c_int], None
+    setter(1)
+
+
 def run_survey(config: SurveyConfig) -> SurveyReport:
     """One row per prime p <= nmax; pure function of the config."""
     seq = config.resolved_sequence()
@@ -163,7 +204,12 @@ def run_survey(config: SurveyConfig) -> SurveyReport:
     primes = sieve_primes(config.nmax)
     jobs = [(p, seq, max_index) for p in primes]
     if config.workers > 1 and len(jobs) > 1:
-        with Pool(config.workers) as pool:
+        blas = _blas_setter()
+        if blas is None:
+            print("sparsemod: no OpenBLAS found; survey workers keep its default "
+                  "thread count", file=sys.stderr)
+        with Pool(config.workers, initializer=_one_blas_thread if blas else None,
+                  initargs=blas or ()) as pool:
             rows = tuple(pool.map(_survey_row, jobs, chunksize=32))
     else:
         rows = tuple(_survey_row(j) for j in jobs)
@@ -214,34 +260,47 @@ def _config_dict(config: SurveyConfig) -> dict:
     return d
 
 
-def survey_csv(report: SurveyReport) -> str:
-    """Render the rows; one comment line pins the schema version."""
-    buf = io.StringIO()
-    buf.write(f"# {report.schema}\n")
-    w = csv.writer(buf, lineterminator="\n")
+def _write_csv(report: SurveyReport, fh) -> None:
+    """The rows as CSV; one comment line pins the schema version."""
+    fh.write(f"# {report.schema}\n")
+    w = csv.writer(fh, lineterminator="\n")
     w.writerow(CSV_COLUMNS)
     for r in report.rows:
         w.writerow(["" if v is None else repr(v) if isinstance(v, float) else v
-                    for v in dataclasses.astuple(r)])
+                    for v in (getattr(r, name) for name in CSV_COLUMNS)])
+
+
+def _write_json(report: SurveyReport, fh) -> None:
+    # every row value is an int, a float, a str or None: no deep copy needed
+    payload = {
+        "schema": report.schema,
+        "config": _config_dict(report.config),
+        "rows": [{name: getattr(r, name) for name in CSV_COLUMNS} for r in report.rows],
+        "aggregates": report.aggregates,
+    }
+    json.dump(payload, fh, sort_keys=True, indent=2)
+    fh.write("\n")
+
+
+def survey_csv(report: SurveyReport) -> str:
+    buf = io.StringIO()
+    _write_csv(report, buf)
     return buf.getvalue()
 
 
 def survey_json(report: SurveyReport) -> str:
-    payload = {
-        "schema": report.schema,
-        "config": _config_dict(report.config),
-        "rows": [dataclasses.asdict(r) for r in report.rows],
-        "aggregates": report.aggregates,
-    }
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    buf = io.StringIO()
+    _write_json(report, buf)
+    return buf.getvalue()
 
 
 def write_report(report: SurveyReport, path: str, fmt: str) -> None:
+    """Encode the report straight into the file at path, chunk by chunk."""
     if fmt == "csv":
-        text = survey_csv(report)
+        write = _write_csv
     elif fmt == "json":
-        text = survey_json(report)
+        write = _write_json
     else:
         raise ConfigError(f"unknown format {fmt!r}")
     with open(path, "w", newline="") as fh:
-        fh.write(text)
+        write(report, fh)

@@ -1,5 +1,9 @@
 """Survey rows and aggregates, report serialization, and the CLI contract."""
 
+import csv
+import ctypes
+import dataclasses
+import io
 import itertools
 import json
 import math
@@ -7,6 +11,7 @@ import shlex
 import subprocess
 import sys
 import tracemalloc
+from multiprocessing import Pool
 from pathlib import Path
 
 import numpy as np
@@ -30,10 +35,41 @@ from sparsemod import (
     waring_fib_direct,
     write_report,
 )
+import sparsemod.survey as survey_mod
 from sparsemod.cli import main, parse_sequence_spec
 from sparsemod.numtheory import PRODUCT_GUARD, is_prime
 from sparsemod.survey import CSV_COLUMNS, delta_of
 from sparsemod.valueset import ResidueMultiset
+
+
+def composed_csv(report):
+    """The CSV as write_report built it whole before it streamed: the oracle."""
+    buf = io.StringIO()
+    buf.write(f"# {report.schema}\n")
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(CSV_COLUMNS)
+    for r in report.rows:
+        w.writerow(["" if v is None else repr(v) if isinstance(v, float) else v
+                    for v in dataclasses.astuple(r)])
+    return buf.getvalue()
+
+
+def composed_json(report):
+    """The JSON as write_report built it whole before it streamed: the oracle."""
+    config = dataclasses.asdict(report.config)
+    config["sequence"] = report.config.resolved_sequence().label()
+    del config["workers"]
+    payload = {"schema": report.schema, "config": config,
+               "rows": [dataclasses.asdict(r) for r in report.rows],
+               "aggregates": report.aggregates}
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+def blas_threads(path, getter):
+    """The thread count an OpenBLAS getter reports in this process."""
+    get = getattr(ctypes.CDLL(path), getter)
+    get.argtypes, get.restype = [], ctypes.c_int
+    return get()
 
 
 class TestSurveyConfig:
@@ -120,6 +156,36 @@ class TestRunSurvey:
         assert all(r.status == "ok" for r in rep.rows if r.p != 2)
 
 
+class TestPoolBlasThreads:
+    def test_workers_run_one_blas_thread(self, monkeypatch):
+        """The survey's pool caps each worker's BLAS at one thread and leaves
+        the parent's count alone."""
+        blas = survey_mod._blas_setter()
+        if blas is None:
+            pytest.skip("no OpenBLAS loaded")
+        path, setter = blas
+        getter = (path, setter.replace("set_num", "get_num"))
+        pool_kwargs = []
+
+        def recording_pool(*args, **kwargs):
+            pool_kwargs.append(kwargs)
+            return Pool(*args, **kwargs)
+
+        monkeypatch.setattr(survey_mod, "Pool", recording_pool)
+        parent = blas_threads(*getter)
+        rep = run_survey(SurveyConfig(nmax=300, workers=2))
+        assert rep.rows == run_survey(SurveyConfig(nmax=300)).rows
+        assert blas_threads(*getter) == parent
+        with Pool(2, **pool_kwargs[0]) as pool:
+            assert pool.starmap(blas_threads, [getter] * 4) == [1] * 4
+
+    def test_without_openblas_the_pool_runs_and_says_so(self, monkeypatch, capsys):
+        monkeypatch.setattr(survey_mod, "_blas_setter", lambda: None)
+        rep = run_survey(SurveyConfig(nmax=300, workers=2))
+        assert survey_json(rep) == survey_json(run_survey(SurveyConfig(nmax=300)))
+        assert capsys.readouterr().err.count("no OpenBLAS found") == 1
+
+
 class TestSerialization:
     def test_csv_shape(self):
         rep = run_survey(SurveyConfig(nmax=100))
@@ -141,19 +207,40 @@ class TestSerialization:
         assert payload["aggregates"] == rep.aggregates
 
     def test_byte_determinism(self, tmp_path):
+        """Serial and pooled reports stream the bytes of the whole-text
+        composition, and the string renderers return the same."""
         rep1 = run_survey(SurveyConfig(nmax=600))
         rep2 = run_survey(SurveyConfig(nmax=600, workers=2))
-        for fmt in ("csv", "json"):
-            f1 = tmp_path / f"a.{fmt}"
-            f2 = tmp_path / f"b.{fmt}"
-            write_report(rep1, str(f1), fmt)
-            write_report(rep2, str(f2), fmt)
-            assert f1.read_bytes() == f2.read_bytes()
+        for fmt, render, compose in (("csv", survey_csv, composed_csv),
+                                     ("json", survey_json, composed_json)):
+            want = compose(rep1)
+            for name, rep in (("serial", rep1), ("pool", rep2)):
+                out = tmp_path / f"{name}.{fmt}"
+                write_report(rep, str(out), fmt)
+                assert out.read_bytes() == want.encode()
+                assert render(rep) == want
+
+    def test_writer_memory_is_bounded(self, tmp_path):
+        """A 9592-row report (one row per prime below 10^5) is encoded into
+        its file; built whole, the JSON text peaked at 26.9 MB."""
+        small = run_survey(SurveyConfig(nmax=100))
+        rows = tuple(dataclasses.replace(small.rows[i % len(small.rows)], p=p)
+                     for i, p in enumerate(sieve_primes(10**5)))
+        big = dataclasses.replace(small, rows=rows)
+        assert len(big.rows) == 9592
+        tracemalloc.start()
+        try:
+            write_report(big, str(tmp_path / "big.json"), "json")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 10**6
 
     def test_write_rejects_unknown_format(self, tmp_path):
         rep = run_survey(SurveyConfig(nmax=50))
         with pytest.raises(ConfigError):
             write_report(rep, str(tmp_path / "x"), "xml")
+        assert not (tmp_path / "x").exists()
 
 
 class TestOrdersSurvey:
