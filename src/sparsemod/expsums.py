@@ -11,13 +11,13 @@ matrix product, and the moduli are summed by numpy's pairwise reduction
 L2sq = sum_r c_r^2 is the collision count (Parseval) and T = sum_s r(s)^2,
 with r(s) = sum_{x+y=s} c_x c_y, the number of index quadruples with
 x_a + x_b = x_c + x_d; both are exact integers, r(s) read off the
-pair-count table of the support (valueset).  Chain facts are
-enforced as postconditions, not just tests:
+pair-count table of the support (valueset).  Three chain facts are
+enforced as postconditions, the two on L1 across l1 +- _l1_error(ms), an
+error bound that assumes libm's cos, sin and hypot within one ulp:
 
+    L2sq^2 <= T                (Cauchy-Schwarz, compared as integers)
     L1^2 <= L2sq               (Cauchy-Schwarz)
-    L2sq <= L1^(2/3) T^(1/3)   (Hoelder)
-    L2sq^2 <= T                (Cauchy-Schwarz)
-    L1 >= L2sq^(3/2) / T^(1/2) (the lower-bound chain; equals
+    L1 >= (L2sq^3 / T)^(1/2)   (Hoelder, the lower-bound chain; equals
                                 (N^3/T)^(1/2) for multiplicity-1 sets)
 """
 
@@ -32,7 +32,6 @@ from .numtheory import exact_fraction, ipow_floor, is_prime, is_primitive_root
 from .valueset import SIZE_GUARD, ResidueMultiset, SequenceSpec, _pair_counts, collision_stats
 
 P_GUARD = 1_000_000
-CHAIN_RTOL = 1e-6
 CHUNK = 4_000_000   # elements per temporary (pair-sum, phase or gather) block
 
 
@@ -84,20 +83,14 @@ def _l1_geometric(ms: ResidueMultiset) -> float:
     return (ms.total + 2 * float(mod.sum())) / ms.p
 
 
-def _check_chain(l1: float, l2sq: float, energy: int, kara: float,
-                 p: int) -> None:
-    checks = (
-        (l1 * l1 <= l2sq * (1 + CHAIN_RTOL), "L1^2 <= L2sq"),
-        (l2sq <= (l1 ** (2 / 3)) * (energy ** (1 / 3)) * (1 + CHAIN_RTOL),
-         "L2sq <= L1^(2/3) T^(1/3)"),
-        (l2sq * l2sq <= energy * (1 + CHAIN_RTOL), "L2sq^2 <= T"),
-        (l1 >= kara * (1 - CHAIN_RTOL), "L1 >= lower bound"),
-    )
-    for ok, name in checks:
-        if not ok:
-            raise InvariantError(
-                f"chain inequality {name} failed at p={p}: "
-                f"l1={l1!r} l2sq={l2sq!r} T={energy!r}")
+def _l1_error(ms: ResidueMultiset) -> float:
+    """E >= |_l1_geometric(ms) - L1| in units u = 2^-53 of the total, which
+    bounds every |S(a)| (Higham 2002, ch. 3).  Per S(a): two phases of 16.5u
+    (the angle 2.4u of 2 pi, cos and sin 1.5u); weight 1u; complex product
+    3u; the K-term sum in any order gamma_(K-1); hypot 1u.  The pairwise sum
+    of m < p/2 moduli: log2 m + 19 (a 128-term leaf runs 8 accumulators of 16,
+    3 merges, 7 tail terms); add and divide 2u.  K + bits(p) + 57, so c = 64."""
+    return ms.total * (len(ms.counts) + 64 + ms.p.bit_length()) * 2.0**-53
 
 
 def norm_report(ms: ResidueMultiset) -> NormReport:
@@ -110,15 +103,19 @@ def norm_report(ms: ResidueMultiset) -> NormReport:
     p = ms.p
     l1 = _l1_geometric(ms)
     collisions = collision_stats(ms).collisions
-    l2sq = float(collisions)
     support = np.fromiter(ms.counts, dtype=np.int64)
     weights = np.fromiter(ms.counts.values(), dtype=np.int64)
     r = _pair_counts(support, support, p, np.add, (weights, weights))
     energy = sum(v * v for v in r[r > 0].tolist())   # r(s)^2 may pass int64
-    kara = math.sqrt(collisions**3 / energy)
-    _check_chain(l1, l2sq, energy, kara, p)
-    return NormReport(p=p, size=ms.total, l1=l1, l2sq=l2sq, energy=energy,
-                      karatsuba_lb=kara)
+    e = _l1_error(ms)
+    for failed, name in ((collisions * collisions > energy, "L2sq^2 <= T"),
+                         (max(l1 - e, 0.0) ** 2 > collisions, "L1^2 <= L2sq"),
+                         (collisions**3 > (l1 + e) ** 2 * energy, "L1 >= (L2sq^3/T)^(1/2)")):
+        if failed:
+            raise InvariantError(f"chain inequality {name} failed at p={p}: "
+                                 f"l1={l1!r} L2sq={collisions} T={energy}")
+    return NormReport(p=p, size=ms.total, l1=l1, l2sq=float(collisions), energy=energy,
+                      karatsuba_lb=math.sqrt(collisions**3 / energy))
 
 
 def l1_full_scan(ms: ResidueMultiset) -> float:
@@ -184,8 +181,8 @@ def littlewood_fib(p: int, nmax: int, gamma: float) -> FibLittlewood:
     seq_len = ipow_floor(nmax, g)
     ms = ResidueMultiset.from_spec(SequenceSpec.fibonacci(1, seq_len), p)
     report = norm_report(ms)
-    # Diagonal solutions alone force the block length below L2sq.
-    if report.l2sq < seq_len * (1 - CHAIN_RTOL):
+    # Diagonal solutions alone force L2sq, an exact integer, up to the block length.
+    if report.l2sq < seq_len:
         raise InvariantError(
             f"L2sq = {report.l2sq!r} below the diagonal bound {seq_len}")
     return FibLittlewood(p=p, nmax=nmax, gamma=float(g), seq_len=seq_len,

@@ -73,6 +73,8 @@ def is_prime(n: int) -> bool:
 
 def sieve_primes(limit: int) -> list[int]:
     """All primes <= limit in increasing order; limit < 2 gives []."""
+    if limit > PRODUCT_GUARD:
+        raise GuardError(f"limit {limit} exceeds the guard {PRODUCT_GUARD}")
     if limit < 2:
         return []
     mask = np.ones(limit + 1, dtype=bool)

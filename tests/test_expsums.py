@@ -4,6 +4,7 @@ import cmath
 import dataclasses
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -124,9 +125,10 @@ class TestNormReport:
             ms = ResidueMultiset.from_counts(
                 p, {r: rng.randint(1, 6) for r in support})
             r = norm_report(ms)    # raises InvariantError on any violation
-            assert r.l1 * r.l1 <= r.l2sq * (1 + 1e-6)
-            assert r.l2sq**2 <= r.energy * (1 + 1e-6)
-            assert r.l1 >= r.karatsuba_lb * (1 - 1e-6)
+            e = expsums._l1_error(ms)
+            assert (r.l1 - e) ** 2 <= r.l2sq
+            assert r.l2sq**2 <= r.energy
+            assert r.l1 + e >= r.karatsuba_lb
 
     @given(small_multisets())
     @example(ResidueMultiset.from_counts(2, {0: 1}))
@@ -137,8 +139,36 @@ class TestNormReport:
     @example(ResidueMultiset.from_counts(4, {2: 1}))
     @example(ResidueMultiset.from_counts(4, {0: 1, 1: 2, 3: 5}))
     @example(ResidueMultiset.from_counts(101, {r: 1 + r % 3 for r in range(0, 101, 3)}))
+    @example(ResidueMultiset.from_spec(SequenceSpec.power(5, 1, 12), 999_983))
+    @example(ResidueMultiset.from_counts(1009, {r: 1 for r in range(1009)}))
     def test_geometric_l1_against_full_scan(self, ms):
-        assert norm_report(ms).l1 == pytest.approx(l1_full_scan(ms), rel=1e-12)
+        """Both L1s lie within E of the true value, so within 2E of each
+        other; a full support meets the lower bound L1 >= 1 with equality."""
+        l1, full = norm_report(ms).l1, l1_full_scan(ms)
+        assert l1 == pytest.approx(full, rel=1e-12)
+        assert abs(l1 - full) <= 2 * expsums._l1_error(ms)
+
+    def test_chain_checks_bracket_l1_by_its_error_bound(self, monkeypatch):
+        """A point mass meets both L1 checks with equality (L1 = 3,
+        L2sq = 9, T = 81): L1 off by 2E or by 10^-9 relative fails the
+        matching check, off by E/4 it passes, and an energy planted below
+        L2sq^2 fails the exact integer check."""
+        ms = ResidueMultiset.from_counts(7, {1: 3})
+        e = expsums._l1_error(ms)
+        assert expsums._l1_geometric(ms) == 3.0
+        for shift, failing in ((2 * e, "L1^2 <= L2sq"), (3e-9, "L1^2 <= L2sq"),
+                               (-2 * e, "L1 >= (L2sq^3/T)^(1/2)")):
+            monkeypatch.setattr(expsums, "_l1_geometric", lambda ms, s=shift: 3.0 + s)
+            with pytest.raises(InvariantError, match=re.escape(f"inequality {failing} failed")):
+                norm_report(ms)
+        for shift in (e / 4, -e / 4):
+            monkeypatch.setattr(expsums, "_l1_geometric", lambda ms, s=shift: 3.0 + s)
+            assert norm_report(ms).l1 == 3.0 + shift
+        monkeypatch.undo()
+        real = expsums._pair_counts
+        monkeypatch.setattr(expsums, "_pair_counts", lambda *a: real(*a) - (real(*a) > 0))
+        with pytest.raises(InvariantError, match=re.escape("L2sq^2 <= T failed at p=7")):
+            norm_report(ms)
 
     def test_half_moduli_near_the_guard(self):
         """At p ~ 10^6 the products a0 r reach 10^11: unreduced, the phase
@@ -210,6 +240,21 @@ class TestLittlewoodFib:
         lf = littlewood_fib(4999, 4999, 0.3)
         assert lf.seq_len == 12
         assert lf.report.l2sq == pytest.approx(lf.seq_len + 2, rel=1e-9)
+
+    def test_diagonal_bound_is_exact(self, monkeypatch):
+        """F_1..F_12 mod 4999: a collision count of 12 meets the diagonal
+        bound, one of 11 fails it."""
+        real = expsums.norm_report
+
+        def plant(l2sq):
+            monkeypatch.setattr(expsums, "norm_report",
+                                lambda ms: dataclasses.replace(real(ms), l2sq=l2sq))
+
+        plant(12.0)
+        assert littlewood_fib(4999, 4999, 0.3).report.l2sq == 12.0
+        plant(11.0)
+        with pytest.raises(InvariantError, match="L2sq = 11.0 below the diagonal bound 12"):
+            littlewood_fib(4999, 4999, 0.3)
 
     def test_gamma_range_enforced(self):
         with pytest.raises(ConfigError):

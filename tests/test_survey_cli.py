@@ -19,6 +19,7 @@ import pytest
 
 from sparsemod import (
     ConfigError,
+    GuardError,
     InvariantError,
     SequenceSpec,
     SurveyConfig,
@@ -462,6 +463,25 @@ class TestCliExitCodes:
         assert main(["survey", "--nmax", "30", "--sequence", "fib:1..1000000000000",
                      "--format", "csv", "--out", str(out)]) == 2
         assert "guard exceeded: block of 1000000000000 terms" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_sweeps_refuse_n_above_the_product_guard_at_once(self, tmp_path, capsys,
+                                                              monkeypatch):
+        """The sieve refuses a limit above PRODUCT_GUARD before it allocates
+        its mask, so every sweep command exits 2 at once (a limit of 4*10^9
+        would take a 4 GB mask first); here the guard is lowered to 1000."""
+        import sparsemod.numtheory as nt
+
+        monkeypatch.setattr(nt, "PRODUCT_GUARD", 1000)
+        assert len(sieve_primes(1000)) == 168
+        with pytest.raises(GuardError, match="limit 1001 exceeds the guard 1000"):
+            sieve_primes(1001)
+        out = tmp_path / "r.csv"
+        for argv in (["orders", "--nmax", "1001"],
+                     ["jcount", "--values", "fib:1..60", "--nmax", "1001"],
+                     ["survey", "--nmax", "1001", "--format", "csv", "--out", str(out)]):
+            assert main(argv) == 2
+            assert "guard exceeded: limit 1001" in capsys.readouterr().err
         assert not out.exists()
 
     def test_orders_without_zero_divisor_exits_3(self, capsys, monkeypatch):
