@@ -24,7 +24,7 @@ from sparsemod.valueset import ResidueMultiset
 def show_multiset(spec, p):
     ms = ResidueMultiset.from_spec(spec, p)
     st = collision_stats(ms)
-    print(f"  {spec.label()} mod {p}: counts {dict(sorted(ms.counts.items()))}")
+    print(f"  {spec.label()} mod {p}: counts {dict(sorted(zip(ms.support.tolist(), ms.counts.tolist())))}")
     print(f"    size {st.size}, distinct {st.distinct}, J_p {st.collisions}")
 
 

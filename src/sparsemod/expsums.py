@@ -11,7 +11,10 @@ matrix product, and the moduli are summed by numpy's pairwise reduction
 L2sq = sum_r c_r^2 is the collision count (Parseval) and T = sum_s r(s)^2,
 with r(s) = sum_{x+y=s} c_x c_y, the number of index quadruples with
 x_a + x_b = x_c + x_d; both are exact integers, r(s) read off the
-pair-count table of the support (valueset).  Three chain facts are
+pair-count table of the support (valueset).  Every kernel reads the
+multiset's support and count arrays as they are, and takes its
+temporaries in numtheory.row_blocks, at most max(SWEEP_ENTRIES, p)
+entries each, the size of a length-p table.  Three chain facts are
 enforced as postconditions, the two on L1 across l1 +- _l1_error(ms), an
 error bound that assumes libm's cos, sin and hypot within one ulp:
 
@@ -28,11 +31,15 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import ConfigError, GuardError, InvariantError
-from .numtheory import exact_fraction, ipow_floor, is_prime, is_primitive_root
+from .numtheory import exact_fraction, ipow_floor, is_prime, is_primitive_root, row_blocks
 from .valueset import SIZE_GUARD, ResidueMultiset, SequenceSpec, _pair_counts, collision_stats
 
 P_GUARD = 1_000_000
-CHUNK = 4_000_000   # elements per temporary (pair-sum, phase or gather) block
+
+
+def _check_guard(p: int) -> None:
+    if p > P_GUARD:
+        raise GuardError(f"p = {p} exceeds the guard {P_GUARD}")
 
 
 @dataclass(frozen=True)
@@ -54,22 +61,19 @@ def _half_moduli(ms: ResidueMultiset) -> np.ndarray:
     {0, B, 2B, ...} and t = 1..B, the block of S values is
     (c e(a0 r/p)) @ e(t r/p)^T.  The products a0 r and t r are reduced mod
     p in int64 (p <= P_GUARD keeps p^2 exact), so every phase angle lies in
-    [0, 2 pi).  The support is taken in slices of at most CHUNK phases, so
-    memory stays bounded on wide supports."""
+    [0, 2 pi).  A wide support is taken in row_blocks of residues, so each
+    block of giant or baby phases stays within max(SWEEP_ENTRIES, p) entries."""
     p = ms.p
     m = p // 2
-    support = np.fromiter(ms.counts, dtype=np.int64)
-    weights = np.fromiter(ms.counts.values(), dtype=np.float64)
     b = math.isqrt(m - 1) + 1
     giant = np.arange(0, m, b, dtype=np.int64)[:, None]
     baby = np.arange(1, b + 1, dtype=np.int64)[:, None]
     scale = 2j * np.pi / p
-    step = max(1, CHUNK // (len(giant) + b))
-    for lo in range(0, len(support), step):
-        r = support[lo : lo + step]
-        block = ((weights[lo : lo + step] * np.exp(scale * (giant * r % p)))
+    for k in row_blocks(len(ms.support), len(giant) + b, p):
+        r = ms.support[k]
+        block = ((ms.counts[k] * np.exp(scale * (giant * r % p)))
                  @ np.exp(scale * (baby * r % p)).T)
-        s = s + block if lo else block
+        s = s + block if k.start else block
     return np.abs(s.ravel()[:m])
 
 
@@ -98,14 +102,11 @@ def norm_report(ms: ResidueMultiset) -> NormReport:
     and the energy as exact integer counts."""
     if ms.total < 1:
         raise ConfigError("empty multiset")
-    if ms.p > P_GUARD:
-        raise GuardError(f"p = {ms.p} exceeds the guard {P_GUARD}")
+    _check_guard(ms.p)
     p = ms.p
     l1 = _l1_geometric(ms)
     collisions = collision_stats(ms).collisions
-    support = np.fromiter(ms.counts, dtype=np.int64)
-    weights = np.fromiter(ms.counts.values(), dtype=np.int64)
-    r = _pair_counts(support, support, p, np.add, (weights, weights))
+    r = _pair_counts(ms.support, ms.support, p, np.add, (ms.counts, ms.counts))
     energy = sum(v * v for v in r[r > 0].tolist())   # r(s)^2 may pass int64
     e = _l1_error(ms)
     for failed, name in ((collisions * collisions > energy, "L2sq^2 <= T"),
@@ -123,17 +124,12 @@ def l1_full_scan(ms: ResidueMultiset) -> float:
     baby-step/giant-step kernel."""
     if ms.total < 1:
         raise ConfigError("empty multiset")
-    if ms.p > P_GUARD:
-        raise GuardError(f"p = {ms.p} exceeds the guard {P_GUARD}")
+    _check_guard(ms.p)
     p = ms.p
-    support = np.fromiter(ms.counts, dtype=np.int64)
-    weights = np.fromiter(ms.counts.values(), dtype=np.float64)
     phases = np.exp((2j * np.pi / p) * np.arange(p))
     out = np.empty(p, dtype=np.float64)
-    step = max(1, CHUNK // len(support))
-    for lo in range(0, p, step):
-        a = np.arange(lo, min(lo + step, p), dtype=np.int64)
-        out[lo : lo + len(a)] = np.abs(phases[np.outer(a, support) % p] @ weights)
+    for a in row_blocks(p, len(ms.support), p):
+        out[a] = np.abs(phases[np.outer(np.arange(a.start, a.stop), ms.support) % p] @ ms.counts)
     return math.fsum(out.tolist()) / p
 
 
@@ -144,13 +140,11 @@ def additive_energy_direct(ms: ResidueMultiset) -> int:
     if ms.total > SIZE_GUARD:
         raise GuardError(f"size {ms.total} exceeds the guard {SIZE_GUARD}")
     p = ms.p
-    res = np.array(sorted(ms.counts), dtype=np.int64)
-    cnt = np.array([ms.counts[int(r)] for r in res], dtype=np.float64)
+    res, cnt = ms.support, ms.counts.astype(np.float64)
     conv = np.zeros(p, dtype=np.float64)
-    step = max(1, CHUNK // len(res))
-    for i in range(0, len(res), step):
-        sums = (res[i : i + step, None] + res[None, :]) % p
-        w = cnt[i : i + step, None] * cnt[None, :]
+    for i in row_blocks(len(res), len(res), p):
+        sums = (res[i, None] + res[None, :]) % p
+        w = cnt[i, None] * cnt[None, :]
         conv += np.bincount(sums.ravel(), weights=w.ravel(), minlength=p)
     # counts <= size^2 <= 10^10 stay exactly representable in float64;
     # the squares would not, so finish in exact integers.
@@ -171,6 +165,7 @@ class FibLittlewood:
 
 
 def littlewood_fib(p: int, nmax: int, gamma: float) -> FibLittlewood:
+    _check_guard(p)
     if not is_prime(p):
         raise ConfigError(f"p must be prime, got {p}")
     if p > nmax:
@@ -206,6 +201,7 @@ class PowLittlewood:
 
 
 def littlewood_pow(p: int, base: int, length: int) -> PowLittlewood:
+    _check_guard(p)    # before is_primitive_root factors p - 1 by trial division
     if not is_prime(p):
         raise ConfigError(f"p must be prime, got {p}")
     if not is_primitive_root(base, p):
@@ -215,8 +211,7 @@ def littlewood_pow(p: int, base: int, length: int) -> PowLittlewood:
     ms = ResidueMultiset.from_spec(SequenceSpec.power(base, 1, length), p)
     report = norm_report(ms)
     stats = collision_stats(ms)
-    max_mult = max(ms.counts.values())
-    if report.energy > length**3 * max_mult:
+    if report.energy > length**3 * int(ms.counts.max()):
         raise InvariantError(
             f"energy {report.energy} above the trivial cap N^3*mult at p={p}")
     exponent = (math.log(report.energy) / math.log(length)

@@ -23,7 +23,7 @@ z(p)), whose prime factors come from trial division.
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -38,6 +38,17 @@ PRODUCT_GUARD = math.isqrt(2**63 - 1)
 # Most entries one sweep array holds, 128 KB of int64: the sweeps take
 # their primes in chunks so that no working array grows past it.
 SWEEP_ENTRIES = 1 << 14
+
+
+def row_blocks(rows: int, width: int, p: int) -> Iterator[slice]:
+    """Slices of range(rows) for a kernel that fills a length-p table from
+    a rows x width array of products, taken a block of rows at a time:
+    each block holds at most max(SWEEP_ENTRIES, p) entries, the size of the
+    table itself, and at least one row."""
+    step = max(1, max(SWEEP_ENTRIES, p) // max(1, width))
+    for lo in range(0, rows, step):
+        yield slice(lo, min(lo + step, rows))
+
 
 # Witnesses certifying Miller-Rabin for every n < 2^64.
 _MR_WITNESSES = (2, 325, 9375, 28178, 450775, 9780504, 1795265022)

@@ -35,7 +35,7 @@ from typing import Iterable, Optional, Union
 import numpy as np
 
 from .errors import ConfigError, ConstructionError, GuardError, InvariantError
-from .numtheory import PRODUCT_GUARD, SWEEP_ENTRIES, _iroot, exact_fraction, fib_mod
+from .numtheory import PRODUCT_GUARD, _iroot, exact_fraction, fib_mod, row_blocks
 from .valueset import _pair_counts, fib_residue_array
 
 # The paper's Waring budget: for almost all p <= N, every residue mod p is
@@ -290,16 +290,13 @@ def _product_witnesses(fr: np.ndarray, fn: np.ndarray, lr: np.ndarray,
 
     One int64 key per pair, its flat index plus |F||L| when n < m, and the
     least key per residue is the witness.  The keys are folded into the
-    table a block of F rows at a time, about SWEEP_ENTRIES pairs each, so
-    no |F| x |L| array is ever held."""
+    table in row_blocks of F, so no |F| x |L| array is ever held."""
     size = len(fr) * len(lr)
     best = np.full(p, 2 * size, dtype=np.int64)
-    rows = max(1, SWEEP_ENTRIES // len(lr))
-    for lo in range(0, len(fr), rows):
-        hi = min(lo + rows, len(fr))
-        key = (np.arange(lo * len(lr), hi * len(lr)).reshape(hi - lo, len(lr))
-               + size * (fn[lo:hi, None] < lm))
-        np.minimum.at(best, (fr[lo:hi, None] * lr % p).ravel(), key.ravel())
+    for rows in row_blocks(len(fr), len(lr), p):
+        key = (np.arange(rows.start * len(lr), rows.stop * len(lr)).reshape(-1, len(lr))
+               + size * (fn[rows, None] < lm))
+        np.minimum.at(best, (fr[rows, None] * lr % p).ravel(), key.ravel())
     gens = np.flatnonzero(best < 2 * size)
     i, j = np.divmod(best[gens] % size, len(lr))
     return dict(zip(gens.tolist(), zip(fn[i].tolist(), lm[j].tolist())))

@@ -21,17 +21,21 @@ combination in uint64.  A one-row sweep matrix gives the same window, but
 its doubling fill pays a dozen numpy calls per doubling and three int64
 reductions per term, so it is slower at every window length the Waring
 layer asks for (BENCH_11.json has the timings).
+
+A ResidueMultiset holds its support and counts as int64 arrays, built
+once and read as they are by collision_stats and every norm kernel.
 """
 
 import math
+from collections import Counter
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
 from .errors import ConfigError, GuardError
-from .numtheory import (INDEX_CAP, PRODUCT_GUARD, SWEEP_ENTRIES, exact_fraction,
-                        fib_pair_array, fib_pair_mod, pow_array, sieve_primes)
+from .numtheory import (INDEX_CAP, MODULUS_CAP, PRODUCT_GUARD, SWEEP_ENTRIES, exact_fraction,
+                        fib_pair_array, fib_pair_mod, pow_array, row_blocks, sieve_primes)
 
 FAMILIES = ("fibonacci", "lucas", "fibonacci-even", "power", "explicit")
 
@@ -225,14 +229,12 @@ def _pair_counts(x: np.ndarray, y: np.ndarray, p: int, op: np.ufunc,
                  weights: Optional[tuple[np.ndarray, np.ndarray]] = None) -> np.ndarray:
     """How many pairs (i, j) of the int64 arrays x, y have op(x[i], y[j]) = s
     mod p, for every s, as a length-p int64 array; with weights (wx, wy) pair
-    (i, j) counts wx[i] wy[j] times.  Blocks of x rows, about
-    max(SWEEP_ENTRIES, p) pairs each, keep every temporary within the size
-    of the table, and np.add.at keeps the counts exact."""
+    (i, j) counts wx[i] wy[j] times.  The pairs are taken in row_blocks of
+    x, and np.add.at keeps the counts exact."""
     out = np.zeros(p, dtype=np.int64)
-    rows = max(1, max(SWEEP_ENTRIES, p) // max(1, len(y)))
-    for lo in range(0, len(x), rows):
-        w = 1 if weights is None else np.outer(weights[0][lo : lo + rows], weights[1]).ravel()
-        np.add.at(out, (op(x[lo : lo + rows, None], y) % p).ravel(), w)
+    for rows in row_blocks(len(x), len(y), p):
+        w = 1 if weights is None else np.outer(weights[0][rows], weights[1]).ravel()
+        np.add.at(out, (op(x[rows, None], y) % p).ravel(), w)
     return out
 
 
@@ -341,34 +343,33 @@ def block_stats(spec: SequenceSpec, primes: Sequence[int]) -> tuple[list[int], l
     return collisions, distinct
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ResidueMultiset:
-    """Counts of x_n mod p over an index block; total = block length."""
+    """counts[i] of the terms x_n of an index block have x_n = support[i] mod p;
+    support runs in order of first occurrence, and total = block length."""
 
     p: int
-    counts: dict[int, int]
+    support: np.ndarray
+    counts: np.ndarray
     total: int
 
     @classmethod
     def from_spec(cls, spec: SequenceSpec, p: int) -> "ResidueMultiset":
         if len(spec) > SIZE_GUARD:
             raise GuardError(f"block of {len(spec)} terms exceeds the guard {SIZE_GUARD}")
-        counts: dict[int, int] = {}
-        for r in spec.residues(p):
-            counts[r] = counts.get(r, 0) + 1
-        return cls(p=p, counts=counts, total=len(spec))
+        return cls.from_counts(p, Counter(spec.residues(p)))
 
     @classmethod
-    def from_counts(cls, p: int, counts: dict[int, int]) -> "ResidueMultiset":
-        if p < 2:
-            raise ConfigError("modulus must be >= 2")
-        for r, c in counts.items():
-            if not 0 <= r < p or c < 1:
-                raise ConfigError("counts must map residues in [0,p) to c >= 1")
+    def from_counts(cls, p: int, counts: Mapping[int, int]) -> "ResidueMultiset":
+        if not 2 <= p <= MODULUS_CAP:      # so every residue fits in int64
+            raise ConfigError(f"modulus {p} outside [2, 2^62]")
+        if counts and not (0 <= min(counts) and max(counts) < p and min(counts.values()) >= 1):
+            raise ConfigError("counts must map residues in [0,p) to c >= 1")
         total = sum(counts.values())
         if total > SIZE_GUARD:
             raise GuardError(f"multiset of {total} terms exceeds the guard {SIZE_GUARD}")
-        return cls(p=p, counts=dict(counts), total=total)
+        return cls(p=p, support=np.fromiter(counts, np.int64, len(counts)),
+                   counts=np.fromiter(counts.values(), np.int64, len(counts)), total=total)
 
 
 @dataclass(frozen=True)
@@ -382,11 +383,9 @@ class CollisionStats:
 
 
 def collision_stats(ms: ResidueMultiset) -> CollisionStats:
-    return CollisionStats(
-        size=ms.total,
-        collisions=sum(c * c for c in ms.counts.values()),
-        distinct=len(ms.counts),
-    )
+    # sum c^2 <= total^2 <= SIZE_GUARD^2 stays exact in int64
+    return CollisionStats(size=ms.total, collisions=int(ms.counts @ ms.counts),
+                          distinct=len(ms.counts))
 
 
 @dataclass(frozen=True)

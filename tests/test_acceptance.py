@@ -121,7 +121,7 @@ def test_c03_parseval_energy_oracles():
         ms = ResidueMultiset.from_counts(
             p, {r: rng.randint(1, 5) for r in support})
         rep = norm_report(ms)
-        exact_l2 = sum(c * c for c in ms.counts.values())
+        exact_l2 = sum(c * c for c in ms.counts.tolist())
         rel = abs(rep.l2sq - exact_l2) / exact_l2
         worst_rel = max(worst_rel, rel)
         assert rel <= 1e-6

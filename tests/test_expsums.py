@@ -34,7 +34,7 @@ def brute_norms(ms):
     l1 = l2 = 0.0
     for a in range(p):
         s = sum(c * cmath.exp(2j * cmath.pi * a * r / p)
-                for r, c in ms.counts.items())
+                for r, c in zip(ms.support.tolist(), ms.counts.tolist()))
         l1 += abs(s)
         l2 += abs(s) ** 2
     return l1 / p, l2 / p
@@ -42,13 +42,13 @@ def brute_norms(ms):
 
 def brute_energy(ms):
     p = ms.p
-    items = [(r, c) for r, c in ms.counts.items()]
+    counts = dict(zip(ms.support.tolist(), ms.counts.tolist()))
     total = 0
-    for r1, c1 in items:
-        for r2, c2 in items:
-            for r3, c3 in items:
+    for r1, c1 in counts.items():
+        for r2, c2 in counts.items():
+            for r3, c3 in counts.items():
                 r4 = (r1 + r2 - r3) % p
-                total += c1 * c2 * c3 * ms.counts.get(r4, 0)
+                total += c1 * c2 * c3 * counts.get(r4, 0)
     return total
 
 
@@ -175,23 +175,45 @@ class TestNormReport:
         angles would be off by about 10^-10 rad at the top of the range."""
         p = 999_983
         ms = ResidueMultiset.from_spec(SequenceSpec.power(5, 1, 12), p)
-        r = np.fromiter(ms.counts, dtype=np.int64)
-        c = np.fromiter(ms.counts.values(), dtype=np.float64)
         a = np.arange(p // 2 - 2000, p // 2 + 1, dtype=np.int64)
-        want = np.abs(np.exp(2j * np.pi / p * (np.outer(a, r) % p)) @ c)
+        want = np.abs(np.exp(2j * np.pi / p * (np.outer(a, ms.support) % p)) @ ms.counts)
         got = expsums._half_moduli(ms)[a - 1]
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
         assert norm_report(ms).l1 == pytest.approx(l1_full_scan(ms), rel=1e-12)
 
-    def test_geometric_l1_in_support_slices(self, monkeypatch):
-        """A support wider than CHUNK phases allow is summed slice by slice."""
+    def test_geometric_l1_in_support_slices(self, in_blocks):
+        """200 residues mod 1009 (22 giant and 23 baby phases each): one
+        slice under the default rule, and slices of 22 residues, 990 <= p
+        phases, with SWEEP_ENTRIES at 1.  Only the K-term sums regroup, so
+        the two L1s agree far inside E."""
         rng = random.Random(4242)
         ms = ResidueMultiset.from_counts(
             1009, {r: rng.randint(1, 5) for r in rng.sample(range(1009), 200)})
-        whole = expsums._l1_geometric(ms)
-        monkeypatch.setattr(expsums, "CHUNK", 100)    # 2 residues per slice
-        assert expsums._l1_geometric(ms) == pytest.approx(whole, rel=1e-13)
-        assert expsums._l1_geometric(ms) == pytest.approx(l1_full_scan(ms), rel=1e-12)
+        whole, split, blocks = in_blocks(expsums, expsums._l1_geometric, ms)
+        assert blocks == [1, 10]
+        assert abs(split - whole) <= expsums._l1_error(ms) / 100
+        assert split == pytest.approx(l1_full_scan(ms), rel=1e-12)
+
+    def test_full_scan_in_blocks(self, in_blocks):
+        """101 rows a of 20 gathers each: one block under the default rule,
+        21 blocks of 5 rows (100 <= p entries) with SWEEP_ENTRIES at 1."""
+        rng = random.Random(17)
+        ms = ResidueMultiset.from_counts(
+            101, {r: rng.randint(1, 5) for r in rng.sample(range(101), 20)})
+        whole, split, blocks = in_blocks(expsums, l1_full_scan, ms)
+        assert blocks == [1, 21]
+        assert split == whole
+        assert whole == pytest.approx(norm_report(ms).l1, rel=1e-12)
+
+    def test_energy_direct_in_blocks(self, in_blocks):
+        """100 x 100 pair sums mod 1009: one block under the default rule,
+        10 blocks of 10 rows (1000 <= p entries) with SWEEP_ENTRIES at 1."""
+        rng = random.Random(19)
+        ms = ResidueMultiset.from_counts(
+            1009, {r: rng.randint(1, 5) for r in rng.sample(range(1009), 100)})
+        whole, split, blocks = in_blocks(expsums, additive_energy_direct, ms)
+        assert blocks == [1, 10]
+        assert split == whole == norm_report(ms).energy
 
     @given(small_multisets())
     @example(ResidueMultiset.from_counts(2, {0: 2, 1: 5}))
@@ -266,6 +288,12 @@ class TestLittlewoodFib:
         with pytest.raises(GuardError):
             littlewood_fib(1_000_003, 1_000_003, 0.3)
 
+    def test_guard_comes_first(self, monkeypatch):
+        """p above P_GUARD is refused before the primality test or the block."""
+        monkeypatch.setattr(expsums, "is_prime", lambda p: pytest.fail("is_prime called"))
+        with pytest.raises(GuardError, match="exceeds the guard"):
+            littlewood_fib(2**61 - 1, 2**62, 0.3)
+
 
 class TestLittlewoodPow:
     def test_frozen_instance(self):
@@ -307,3 +335,12 @@ class TestLittlewoodPow:
     def test_rejects_window_beyond_sqrt_p(self):
         with pytest.raises(ConfigError):
             littlewood_pow(101, 2, 11)    # 11^2 > 101
+
+    def test_guard_comes_first(self, monkeypatch):
+        """p above P_GUARD is refused before is_primitive_root factors p - 1
+        by trial division to sqrt(p): at this safe prime below 2^62, of
+        which 2 is a primitive root, that would take minutes."""
+        monkeypatch.setattr(expsums, "is_primitive_root",
+                            lambda g, p: pytest.fail("is_primitive_root called"))
+        with pytest.raises(GuardError, match="exceeds the guard"):
+            littlewood_pow(4611686018427377339, 2, 5)

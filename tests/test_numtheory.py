@@ -334,6 +334,26 @@ class TestSweepKernels:
             fib_pair_array(INDEX_CAP + 1, np.array([7]))
 
 
+class TestRowBlocks:
+    @given(st.integers(0, 300), st.integers(1, 300), st.integers(2, 2000),
+           st.sampled_from((1, 64, nt.SWEEP_ENTRIES)))
+    @example(5, 4, 7, nt.SWEEP_ENTRIES)            # the whole array in one block
+    @example(3, 10**6, 101, nt.SWEEP_ENTRIES)      # rows wider than any block
+    def test_blocks_cover_the_rows_within_the_rule(self, rows, width, p, sweep):
+        """The slices run over range(rows) in order; each holds at most
+        max(SWEEP_ENTRIES, p) entries unless it is a single row, and every
+        block but the last is as large as the rule allows."""
+        with mock.patch.object(nt, "SWEEP_ENTRIES", sweep):
+            blocks = list(nt.row_blocks(rows, width, p))
+        limit = max(sweep, p)
+        assert [i for b in blocks for i in range(b.start, b.stop)] == list(range(rows))
+        for b in blocks:
+            n = b.stop - b.start
+            assert n >= 1 and (n == 1 or n * width <= limit)
+        for b in blocks[:-1]:
+            assert (b.stop - b.start + 1) * width > limit
+
+
 class TestOrderTable:
     @given(st.sets(st.sampled_from(sieve_primes(3000)), max_size=40))
     def test_matches_records_and_scans(self, extra):

@@ -31,6 +31,7 @@ from sparsemod import (
     waring_fib_direct,
 )
 import sparsemod.sumsets as sumsets
+import sparsemod.numtheory as numtheory
 from sparsemod.numtheory import is_prime
 from sparsemod.sumsets import (
     FOLD_CHECK_EVERY,
@@ -588,8 +589,20 @@ class TestWaringConstructive:
                    for xs in (f_wit, f_wit.values(), l_wit, l_wit.values())]
         got = sumsets._product_witnesses(*windows, p)
         assert got == want and list(got) == sorted(want)
-        with mock.patch.object(sumsets, "SWEEP_ENTRIES", 5):   # blocks of F rows
+        with mock.patch.object(numtheory, "SWEEP_ENTRIES", 5):   # blocks of F rows
             assert sumsets._product_witnesses(*windows, p) == got
+
+    def test_product_witnesses_in_blocks(self, in_blocks):
+        """50 x 60 pairs mod 101: one block under the default rule, and one
+        F row per block with SWEEP_ENTRIES at 1."""
+        rng = random.Random(11)
+        fr = np.array(rng.sample(range(101), 50), dtype=np.int64)
+        lr = np.array(rng.sample(range(101), 60), dtype=np.int64)
+        fn, lm = np.arange(20, 70), np.arange(1, 61)
+        whole, split, blocks = in_blocks(sumsets, sumsets._product_witnesses,
+                                         fr, fn, lr, lm, 101)
+        assert blocks == [1, 50]
+        assert split == whole and len(whole) == 101     # all of F_101
 
     def test_exceptional_prime_refused(self):
         # p = 211: the even-index window tops out at 21 distinct residues

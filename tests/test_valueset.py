@@ -27,7 +27,8 @@ from sparsemod import (
     value_set_survey,
 )
 import sparsemod.valueset as valueset
-from sparsemod.numtheory import INDEX_CAP, PRODUCT_GUARD, is_prime
+import sparsemod.numtheory as numtheory
+from sparsemod.numtheory import INDEX_CAP, MODULUS_CAP, PRODUCT_GUARD, is_prime
 from sparsemod.valueset import FAMILIES, block_stats, fib_residue_array
 
 # The largest modulus the int64 stepper accepts that is prime.
@@ -139,9 +140,19 @@ class TestSequenceSpec:
 class TestResidueMultiset:
     def test_fib_mod5(self):
         ms = ResidueMultiset.from_spec(SequenceSpec.fibonacci(1, 4), 5)
-        assert ms.counts == {1: 2, 2: 1, 3: 1}
+        assert (ms.support.tolist(), ms.counts.tolist()) == ([1, 2, 3], [2, 1, 1])
         st = collision_stats(ms)
         assert st == CollisionStats(size=4, collisions=6, distinct=3)
+
+    def test_support_keeps_first_occurrence_order(self):
+        """F_1..F_10 mod 7 = 1 1 2 3 5 1 6 0 6 6: the support runs in the
+        order residues first appear, not sorted, as int64 arrays."""
+        ms = ResidueMultiset.from_spec(SequenceSpec.fibonacci(1, 10), 7)
+        assert ms.support.dtype == ms.counts.dtype == np.int64
+        assert ms.support.tolist() == [1, 2, 3, 5, 6, 0]
+        assert ms.counts.tolist() == [3, 1, 1, 1, 3, 1]
+        ms = ResidueMultiset.from_counts(11, Counter([9, 4, 9, 0]))
+        assert (ms.support.tolist(), ms.counts.tolist(), ms.total) == ([9, 4, 0], [2, 1, 1], 4)
 
     def test_explicit_mod7(self):
         ms = ResidueMultiset.from_spec(SequenceSpec.explicit((1, 8, 15)), 7)
@@ -172,7 +183,7 @@ class TestResidueMultiset:
                 spec = SequenceSpec.power(rng.randint(2, 10), lo, hi)
             ms = ResidueMultiset.from_spec(spec, p)
             st = collision_stats(ms)
-            assert sum(ms.counts.values()) == st.size == len(spec)
+            assert sum(ms.counts.tolist()) == st.size == len(spec)
             assert st.collisions >= st.size
             assert (st.collisions == st.size) == (st.distinct == st.size)
             assert st.distinct * st.collisions >= st.size**2
@@ -193,6 +204,20 @@ class TestResidueMultiset:
             ResidueMultiset.from_counts(7, {9: 1})   # residue out of range
         with pytest.raises(ConfigError):
             ResidueMultiset.from_counts(7, {2: 0})   # dead entry
+
+    def test_modulus_cap(self):
+        """Residues are int64, so a modulus above MODULUS_CAP = 2^62 is
+        refused; the explicit and power families would otherwise take any p."""
+        big = MODULUS_CAP + 1
+        for spec in (SequenceSpec.explicit((2**63 + 5, 2**64)), SequenceSpec.power(3, 40, 45)):
+            with pytest.raises(ConfigError, match="outside"):
+                ResidueMultiset.from_spec(spec, big)
+            ms = ResidueMultiset.from_spec(spec, MODULUS_CAP)
+            assert ms.support.tolist() == [v % MODULUS_CAP for v in spec.exact_values()]
+        with pytest.raises(ConfigError, match="outside"):
+            ResidueMultiset.from_counts(big, {2**62: 1})
+        with pytest.raises(ConfigError, match="outside"):
+            ResidueMultiset.from_counts(1, {0: 1})
 
 
 class TestJTotal:
@@ -306,7 +331,7 @@ weighted_values = st.lists(st.tuples(st.integers(0, 10**6), st.integers(1, 1000)
 class TestPairCounts:
     @given(st.sampled_from(sieve_primes(60)), weighted_values, weighted_values,
            st.sampled_from((np.add, np.multiply)), st.booleans(),
-           st.sampled_from((1, 7, valueset.SWEEP_ENTRIES)))
+           st.sampled_from((1, 7, numtheory.SWEEP_ENTRIES)))
     @example(7, [], [(3, 1)], np.add, False, 1)
     @example(7, [(3, 1)], [], np.multiply, True, 1)
     @example(2, [], [], np.add, True, 1)
@@ -314,23 +339,23 @@ class TestPairCounts:
     @example(5, [(0, 2**26 + 1)] * 3, [(5, 2**26 + 1)] * 3, np.add, True, 1)
     def test_matches_counter(self, p, xs, ys, op, weighted, sweep):
         """Against a Counter over all pairs, in one block and, with
-        SWEEP_ENTRIES patched small, in blocks of a few rows."""
+        numtheory.SWEEP_ENTRIES patched below p, in blocks of about p pairs."""
         x = np.array([v for v, _ in xs], dtype=np.int64)
         y = np.array([v for v, _ in ys], dtype=np.int64)
         wx = [w if weighted else 1 for _, w in xs]
         wy = [w if weighted else 1 for _, w in ys]
         weights = (np.array(wx, dtype=np.int64), np.array(wy, dtype=np.int64)) if weighted else None
-        with mock.patch.object(valueset, "SWEEP_ENTRIES", sweep):
+        with mock.patch.object(numtheory, "SWEEP_ENTRIES", sweep):
             got = valueset._pair_counts(x, y, p, op, weights)
         assert got.dtype == np.int64
         assert got.tolist() == brute_pair_counts(x.tolist(), y.tolist(), p, op, wx, wy)
 
     def test_rows_longer_than_a_block(self):
-        """|y| > SWEEP_ENTRIES: each block is a single row of x."""
+        """|y| > SWEEP_ENTRIES > p: each block is a single row of x."""
         rng = random.Random(2024)
         p = 101
         x = [rng.randrange(p) for _ in range(3)]
-        y = [rng.randrange(10**6) for _ in range(valueset.SWEEP_ENTRIES + 5)]
+        y = [rng.randrange(10**6) for _ in range(numtheory.SWEEP_ENTRIES + 5)]
         wx = [rng.randint(1, 9) for _ in x]
         wy = [rng.randint(1, 9) for _ in y]
         arrays = [np.array(v, dtype=np.int64) for v in (x, y, wx, wy)]
@@ -339,6 +364,18 @@ class TestPairCounts:
             assert got.tolist() == brute_pair_counts(x, y, p, op, [1] * 3, [1] * len(y))
             got = valueset._pair_counts(arrays[0], arrays[1], p, op, (arrays[2], arrays[3]))
             assert got.tolist() == brute_pair_counts(x, y, p, op, wx, wy)
+
+    def test_blocks_equal_one_block(self, in_blocks):
+        """30 x 40 pairs mod 101: one block under the default rule, and 15
+        blocks of 2 rows (80 <= p pairs) with SWEEP_ENTRIES at 1."""
+        rng = np.random.default_rng(7)
+        x, y = rng.integers(0, 10**6, 30), rng.integers(0, 10**6, 40)
+        weights = (rng.integers(1, 9, 30), rng.integers(1, 9, 40))
+        whole, split, blocks = in_blocks(valueset, valueset._pair_counts,
+                                         x, y, 101, np.add, weights)
+        assert blocks == [1, 15]
+        assert split.tolist() == whole.tolist()
+        assert whole.sum() == weights[0].sum() * weights[1].sum()
 
 
 class TestDigitMagnitude:
