@@ -11,12 +11,12 @@ import sys
 
 from .errors import ConfigError, GuardError, InvariantError
 from .numtheory import is_prime
-from .valueset import SIZE_GUARD, SequenceSpec, digit_magnitude, j_total, j_total_pairscan
+from .valueset import SequenceSpec, check_block, digit_magnitude, j_total, j_total_pairscan
 from .sumsets import (WARING_TERMS, waring_constructive, waring_eps_verify,
                       waring_fib_direct)
 from .expsums import littlewood_fib, littlewood_pow
-from .survey import (PASS_THRESHOLD, SurveyConfig, delta_of, max_index_of, orders_survey,
-                     run_survey, write_report)
+from .survey import (DELTA_EXPONENT, GAMMA, PASS_THRESHOLD, SurveyConfig, delta_of,
+                     max_index_of, orders_survey, run_survey, write_report)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -67,12 +67,9 @@ def _build_parser() -> _Parser:
 
     sv = sub.add_parser("survey", help="per-prime survey over p <= N")
     sv.add_argument("--nmax", type=int, required=True)
-    sv.add_argument("--gamma", type=float, default=SurveyConfig.gamma)
-    sv.add_argument("--delta-exp", type=float, default=SurveyConfig.delta_exponent)
     sv.add_argument("--threads", type=int, default=SurveyConfig.workers)
-    sv.add_argument("--vs-delta", type=float, default=SurveyConfig.vs_delta)
     sv.add_argument("--sequence", type=str, default=None,
-                    help="override the surveyed block (default fib:1..floor(N^gamma))")
+                    help=f"override the surveyed block (default fib:1..floor(N^{float(GAMMA)}))")
     sv.add_argument("--out", type=str, required=True)
     sv.add_argument("--format", choices=("csv", "json"), required=True)
 
@@ -84,8 +81,7 @@ def _build_parser() -> _Parser:
                     default="direct")
     wa.add_argument("--epsilon", type=str, default="0.5")
     wa.add_argument("--delta", type=float, default=None,
-                    help="window factor (default exp((log N)^rho))")
-    wa.add_argument("--delta-exp", type=float, default=SurveyConfig.delta_exponent)
+                    help=f"window factor (default exp((log N)^{DELTA_EXPONENT}))")
 
     lw = sub.add_parser("littlewood", help="L1 norms of exponential sums")
     lw.add_argument("--p", type=int, required=True)
@@ -113,12 +109,9 @@ def _cmd_survey(args) -> int:
     if not os.path.isdir(os.path.dirname(args.out) or "."):
         raise ConfigError(f"--out {args.out!r}: no such directory")
     seq = parse_sequence_spec(args.sequence) if args.sequence else None
-    config = SurveyConfig(nmax=args.nmax, gamma=args.gamma, delta_exponent=args.delta_exp,
-                          vs_delta=args.vs_delta, workers=args.threads, sequence=seq)
-    block = len(config.resolved_sequence())
-    if block > SIZE_GUARD:
-        # every row would carry the same guard status; refuse the whole run
-        raise GuardError(f"block of {block} terms exceeds the guard {SIZE_GUARD}")
+    config = SurveyConfig(nmax=args.nmax, workers=args.threads, sequence=seq)
+    # every row would carry the same guard status; refuse the whole run
+    check_block(config.resolved_sequence())
     report = run_survey(config)
     write_report(report, args.out, args.format)
     agg = report.aggregates
@@ -150,7 +143,7 @@ def _cmd_waring(args) -> int:
               f"z1={rep.z1_tuple} z2={rep.z2_tuple}")
         print(f"{prm.s} Fibonacci indices (all <= N^eps): {list(rep.fib_indices)}")
         return 0
-    delta = args.delta if args.delta is not None else delta_of(nmax, args.delta_exp)
+    delta = args.delta if args.delta is not None else delta_of(nmax)
     if args.mode == "direct":
         max_index = max_index_of(nmax, delta)
         cover = waring_fib_direct(p, max_index)
@@ -198,8 +191,8 @@ def _cmd_orders(args) -> int:
 
 def _cmd_jcount(args) -> int:
     spec = parse_sequence_spec(args.values)
+    vals = spec.exact_values()   # its digit guard, before the sweep
     res = j_total(spec, args.nmax)
-    vals = spec.exact_values()
     print(f"block {spec.label()}: digit magnitude M = {digit_magnitude(vals)}")
     print(f"J({args.nmax}) = {res.total}")
     print(f"main term pi(N)*|X| = {res.main_term}, residual = {res.residual}")

@@ -44,12 +44,13 @@ def _check_guard(p: int) -> None:
 
 @dataclass(frozen=True)
 class NormReport:
-    """Normalized norms of S over a full period; energy is the integer T."""
+    """Normalized norms of S over a full period; l2sq, the collision count,
+    and energy, T, are exact integers."""
 
     p: int
     size: int
     l1: float
-    l2sq: float
+    l2sq: int
     energy: int
     karatsuba_lb: float
 
@@ -115,7 +116,7 @@ def norm_report(ms: ResidueMultiset) -> NormReport:
         if failed:
             raise InvariantError(f"chain inequality {name} failed at p={p}: "
                                  f"l1={l1!r} L2sq={collisions} T={energy}")
-    return NormReport(p=p, size=ms.total, l1=l1, l2sq=float(collisions), energy=energy,
+    return NormReport(p=p, size=ms.total, l1=l1, l2sq=collisions, energy=energy,
                       karatsuba_lb=math.sqrt(collisions**3 / energy))
 
 

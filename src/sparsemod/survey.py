@@ -3,7 +3,8 @@
 For every prime the survey records the order of 2, the rank of apparition,
 the Legendre symbol (5|p), the minimal Fibonacci Waring exponent at
 max_index = ceil(delta(N) sqrt(N)), the exponential-sum norms of the
-configured residue block, and its value-set statistics.  Aggregates are
+residue block (Fibonacci 1..floor(N^GAMMA) unless the config names
+another), and its value-set statistics.  Aggregates are
 plain means of row indicators, so the report is a pure function of its
 config: rerunning the same config must reproduce the output byte for byte
 (wall-clock metadata is deliberately excluded).
@@ -11,7 +12,8 @@ config: rerunning the same config must reproduce the output byte for byte
 `write_report` encodes a report straight into its file, so writing one
 holds neither a copy of the rows nor the whole text in memory;
 `survey_csv` and `survey_json` return the same writers' output as a string.
-With workers > 1 the rows come from a forked pool whose workers each run
+With workers > 1 the rows come from a forked pool of at most one process
+per prime and per CPU, whose workers each run
 BLAS on one thread: the L1 kernel's products are small, and a BLAS thread
 per core in every worker oversubscribed the cores.
 """
@@ -24,6 +26,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass
+from fractions import Fraction
 from multiprocessing import Pool
 from typing import Optional
 
@@ -34,17 +37,24 @@ from .valueset import ResidueMultiset, SequenceSpec, collision_stats
 from .sumsets import WARING_TERMS, waring_fib_direct
 from .expsums import norm_report
 
-SCHEMA = "sparsemod-survey-v4"
+SCHEMA = "sparsemod-survey-v5"
 
 # Share of rows each headline fraction must reach for headline_ok.
 PASS_THRESHOLD = 0.9
 
+# The paper's fixed parameters: the block 1..floor(N^GAMMA), gamma < 1/3;
+# rho = DELTA_EXPONENT in delta(N) = exp((log N)^rho); a value set passes
+# when its deviation (size - distinct) / size is at most 1 / VS_DELTA.
+GAMMA = Fraction(3, 10)
+DELTA_EXPONENT = 0.4
+VS_DELTA = 10
 
-def delta_of(nmax: int, rho: float) -> float:
-    """The slowly growing window factor delta(N) = exp((log N)^rho)."""
+
+def delta_of(nmax: int) -> float:
+    """The slowly growing window factor delta(N) = exp((log N)^DELTA_EXPONENT)."""
     if nmax < 2:
         raise ConfigError("need nmax >= 2")
-    return math.exp(math.log(nmax) ** rho)
+    return math.exp(math.log(nmax) ** DELTA_EXPONENT)
 
 
 def max_index_of(nmax: int, delta: float) -> int:
@@ -57,32 +67,22 @@ def max_index_of(nmax: int, delta: float) -> int:
 @dataclass(frozen=True)
 class SurveyConfig:
     nmax: int
-    gamma: float = 0.3
-    delta_exponent: float = 0.4   # rho in delta(N) = exp((log N)^rho)
-    vs_delta: float = 10.0        # value-set deviation tolerance 1/vs_delta
     workers: int = 1
-    sequence: Optional[SequenceSpec] = None  # default: fibonacci 1..floor(N^gamma)
+    sequence: Optional[SequenceSpec] = None  # default: fibonacci 1..floor(N^GAMMA)
 
     def __post_init__(self):
         if self.nmax < 2:
             raise ConfigError("need nmax >= 2")
-        if not 0 < self.gamma < 1 / 3:
-            raise ConfigError("gamma must lie in (0, 1/3)")
-        if not 0 < self.delta_exponent < 1:
-            raise ConfigError("delta_exponent must lie in (0, 1)")
-        if not (self.vs_delta > 0 and math.isfinite(self.vs_delta)):
-            raise ConfigError("vs_delta must be positive and finite")
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
 
     def resolved_sequence(self) -> SequenceSpec:
         if self.sequence is not None:
             return self.sequence
-        hi = ipow_floor(self.nmax, exact_fraction(self.gamma))
-        return SequenceSpec.fibonacci(1, max(1, hi))
+        return SequenceSpec.fibonacci(1, max(1, ipow_floor(self.nmax, GAMMA)))
 
     def waring_max_index(self) -> int:
-        return max_index_of(self.nmax, delta_of(self.nmax, self.delta_exponent))
+        return max_index_of(self.nmax, delta_of(self.nmax))
 
 
 @dataclass(frozen=True)
@@ -94,7 +94,7 @@ class SurveyRow:
     waring_s_min: Optional[int]
     waring_max_index: int
     l1: Optional[float]
-    l2sq: Optional[float]
+    l2sq: Optional[int]
     energy: Optional[int]
     l1_ratio: Optional[float]
     vs_size: Optional[int]
@@ -107,7 +107,6 @@ CSV_COLUMNS = tuple(f.name for f in dataclasses.fields(SurveyRow))
 
 @dataclass(frozen=True)
 class SurveyReport:
-    schema: str
     config: SurveyConfig
     rows: tuple[SurveyRow, ...]
     aggregates: dict
@@ -140,12 +139,11 @@ def _survey_row(args: tuple[int, SequenceSpec, int]) -> SurveyRow:
                      vs_size=vs_size, vs_distinct=vs_distinct, status=status)
 
 
-def _aggregate(rows: tuple[SurveyRow, ...], config: SurveyConfig) -> dict:
+def _aggregate(rows: tuple[SurveyRow, ...]) -> dict:
     n = len(rows)
     if n == 0:
         return {"rows": 0}
-    d = exact_fraction(config.vs_delta)   # deviation <= 1/d, exactly
-    vs_ok = [(r.vs_size - r.vs_distinct) * d <= r.vs_size
+    vs_ok = [(r.vs_size - r.vs_distinct) * VS_DELTA <= r.vs_size
              for r in rows if r.vs_size]
     waring16 = [r.waring_s_min is not None for r in rows]
     chain_ok = [not r.status.startswith("invariant") for r in rows]
@@ -198,23 +196,24 @@ def _one_blas_thread(path: str, symbol: str) -> None:
 
 
 def run_survey(config: SurveyConfig) -> SurveyReport:
-    """One row per prime p <= nmax; pure function of the config."""
+    """One row per prime p <= nmax; pure function of the config.  The pool
+    starts min(workers, primes, CPUs) processes, and none when that is 1."""
     seq = config.resolved_sequence()
     max_index = config.waring_max_index()
     primes = sieve_primes(config.nmax)
     jobs = [(p, seq, max_index) for p in primes]
-    if config.workers > 1 and len(jobs) > 1:
+    size = min(config.workers, len(jobs), os.cpu_count() or 1)
+    if size > 1:
         blas = _blas_setter()
         if blas is None:
             print("sparsemod: no OpenBLAS found; survey workers keep its default "
                   "thread count", file=sys.stderr)
-        with Pool(config.workers, initializer=_one_blas_thread if blas else None,
+        with Pool(size, initializer=_one_blas_thread if blas else None,
                   initargs=blas or ()) as pool:
             rows = tuple(pool.map(_survey_row, jobs, chunksize=32))
     else:
         rows = tuple(_survey_row(j) for j in jobs)
-    return SurveyReport(schema=SCHEMA, config=config, rows=rows,
-                        aggregates=_aggregate(rows, config))
+    return SurveyReport(config=config, rows=rows, aggregates=_aggregate(rows))
 
 
 @dataclass(frozen=True)
@@ -253,16 +252,13 @@ def orders_survey(nmax: int, threshold_exponent: float = 0.5) -> OrdersReport:
 
 
 def _config_dict(config: SurveyConfig) -> dict:
-    d = dataclasses.asdict(config)
-    d["sequence"] = config.resolved_sequence().label()
     # worker count changes scheduling, never results; keep it out of the output
-    del d["workers"]
-    return d
+    return {"nmax": config.nmax, "sequence": config.resolved_sequence().label()}
 
 
 def _write_csv(report: SurveyReport, fh) -> None:
     """The rows as CSV; one comment line pins the schema version."""
-    fh.write(f"# {report.schema}\n")
+    fh.write(f"# {SCHEMA}\n")
     w = csv.writer(fh, lineterminator="\n")
     w.writerow(CSV_COLUMNS)
     for r in report.rows:
@@ -273,7 +269,7 @@ def _write_csv(report: SurveyReport, fh) -> None:
 def _write_json(report: SurveyReport, fh) -> None:
     # every row value is an int, a float, a str or None: no deep copy needed
     payload = {
-        "schema": report.schema,
+        "schema": SCHEMA,
         "config": _config_dict(report.config),
         "rows": [{name: getattr(r, name) for name in CSV_COLUMNS} for r in report.rows],
         "aggregates": report.aggregates,

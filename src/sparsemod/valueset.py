@@ -190,6 +190,13 @@ class SequenceSpec:
         return [fib[n - 1] + fib[n + 1] for n in range(lo, hi + 1)]
 
 
+def check_block(spec: SequenceSpec) -> None:
+    """Refuse a block of more than SIZE_GUARD terms, before anything is
+    allocated for it."""
+    if len(spec) > SIZE_GUARD:
+        raise GuardError(f"block of {len(spec)} terms exceeds the guard {SIZE_GUARD}")
+
+
 def fib_residue_array(lo: int, hi: int, p: int) -> np.ndarray:
     """F_n mod p for n = lo..hi as an int64 array, by block jumps.
 
@@ -316,9 +323,11 @@ def block_stats(spec: SequenceSpec, primes: Sequence[int]) -> tuple[list[int], l
     The block is reduced mod a chunk of about SWEEP_ENTRIES / |block| primes
     at once, one row per prime; each row is sorted, and a row's collisions
     are the sum of its squared run lengths and its distinct count the
-    number of runs.  Primes above PRODUCT_GUARD are refused, as a residue
-    product could overflow int64.
+    number of runs.  A block longer than SIZE_GUARD is refused (check_block),
+    and so are primes above PRODUCT_GUARD, as a residue product could
+    overflow int64.
     """
+    check_block(spec)
     if primes and max(primes) > PRODUCT_GUARD:
         raise GuardError(f"p = {max(primes)} exceeds the guard {PRODUCT_GUARD}")
     limbs = None
@@ -355,8 +364,7 @@ class ResidueMultiset:
 
     @classmethod
     def from_spec(cls, spec: SequenceSpec, p: int) -> "ResidueMultiset":
-        if len(spec) > SIZE_GUARD:
-            raise GuardError(f"block of {len(spec)} terms exceeds the guard {SIZE_GUARD}")
+        check_block(spec)
         return cls.from_counts(p, Counter(spec.residues(p)))
 
     @classmethod

@@ -66,7 +66,7 @@ class TestNormReport:
     def test_point_masses(self):
         rep = norm_report(ResidueMultiset.from_counts(7, {1: 3}))
         assert rep.l1 == pytest.approx(3.0)
-        assert rep.l2sq == pytest.approx(9.0)
+        assert rep.l2sq == 9 and isinstance(rep.l2sq, int)
         assert rep.energy == 81
         rep = norm_report(ResidueMultiset.from_counts(11, {4: 1}))
         assert rep.l1 == pytest.approx(1.0)
@@ -261,7 +261,7 @@ class TestLittlewoodFib:
         """F_1..F_12 mod 4999 collide only at F_1 = F_2, so J_p = 12 + 2."""
         lf = littlewood_fib(4999, 4999, 0.3)
         assert lf.seq_len == 12
-        assert lf.report.l2sq == pytest.approx(lf.seq_len + 2, rel=1e-9)
+        assert lf.report.l2sq == lf.seq_len + 2
 
     def test_diagonal_bound_is_exact(self, monkeypatch):
         """F_1..F_12 mod 4999: a collision count of 12 meets the diagonal
@@ -272,10 +272,10 @@ class TestLittlewoodFib:
             monkeypatch.setattr(expsums, "norm_report",
                                 lambda ms: dataclasses.replace(real(ms), l2sq=l2sq))
 
-        plant(12.0)
-        assert littlewood_fib(4999, 4999, 0.3).report.l2sq == 12.0
-        plant(11.0)
-        with pytest.raises(InvariantError, match="L2sq = 11.0 below the diagonal bound 12"):
+        plant(12)
+        assert littlewood_fib(4999, 4999, 0.3).report.l2sq == 12
+        plant(11)
+        with pytest.raises(InvariantError, match="L2sq = 11 below the diagonal bound 12"):
             littlewood_fib(4999, 4999, 0.3)
 
     def test_gamma_range_enforced(self):

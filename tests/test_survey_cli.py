@@ -11,6 +11,7 @@ import shlex
 import subprocess
 import sys
 import tracemalloc
+from fractions import Fraction
 from multiprocessing import Pool
 from pathlib import Path
 
@@ -46,7 +47,7 @@ from sparsemod.valueset import ResidueMultiset
 def composed_csv(report):
     """The CSV as write_report built it whole before it streamed: the oracle."""
     buf = io.StringIO()
-    buf.write(f"# {report.schema}\n")
+    buf.write(f"# {survey_mod.SCHEMA}\n")
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(CSV_COLUMNS)
     for r in report.rows:
@@ -57,10 +58,9 @@ def composed_csv(report):
 
 def composed_json(report):
     """The JSON as write_report built it whole before it streamed: the oracle."""
-    config = dataclasses.asdict(report.config)
-    config["sequence"] = report.config.resolved_sequence().label()
-    del config["workers"]
-    payload = {"schema": report.schema, "config": config,
+    config = {"nmax": report.config.nmax,
+              "sequence": report.config.resolved_sequence().label()}
+    payload = {"schema": survey_mod.SCHEMA, "config": config,
                "rows": [dataclasses.asdict(r) for r in report.rows],
                "aggregates": report.aggregates}
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
@@ -74,24 +74,35 @@ def blas_threads(path, getter):
 
 
 class TestSurveyConfig:
+    def test_fields_are_what_varies(self):
+        """gamma, rho and the value-set tolerance are the paper's constants."""
+        assert [f.name for f in dataclasses.fields(SurveyConfig)] == [
+            "nmax", "workers", "sequence"]
+        assert (survey_mod.GAMMA, survey_mod.DELTA_EXPONENT, survey_mod.VS_DELTA) == (
+            Fraction(3, 10), 0.4, 10)
+
     def test_defaults_resolve(self):
         cfg = SurveyConfig(nmax=2000)
         seq = cfg.resolved_sequence()
         assert seq == SequenceSpec.fibonacci(1, 9)   # floor(2000^0.3) = 9
         assert cfg.waring_max_index() == math.ceil(
-            delta_of(2000, 0.4) * math.sqrt(2000))
+            math.exp(math.log(2000) ** 0.4) * math.sqrt(2000)) == 425
+
+    def test_default_block_is_the_explicit_one(self):
+        explicit = SurveyConfig(nmax=2000, sequence=SequenceSpec.fibonacci(1, 9))
+        assert run_survey(explicit).rows == run_survey(SurveyConfig(nmax=2000)).rows
 
     def test_validation(self):
         with pytest.raises(ConfigError):
             SurveyConfig(nmax=1)
         with pytest.raises(ConfigError):
-            SurveyConfig(nmax=100, gamma=0.5)
-        with pytest.raises(ConfigError):
             SurveyConfig(nmax=100, workers=0)
 
     def test_delta_of_monotone(self):
-        assert delta_of(100, 0.4) < delta_of(10**4, 0.4) < delta_of(10**6, 0.4)
-        assert delta_of(10**4, 0.0) == pytest.approx(math.e)
+        assert delta_of(100) < delta_of(10**4) < delta_of(10**6)
+        assert delta_of(10**4) == pytest.approx(math.exp(math.log(10**4) ** 0.4))
+        with pytest.raises(ConfigError):
+            delta_of(1)
 
 
 class TestRunSurvey:
@@ -111,8 +122,7 @@ class TestRunSurvey:
             assert row.vs_size == st.size and row.vs_distinct == st.distinct
 
     def test_littlewood_column_matches(self):
-        cfg = SurveyConfig(nmax=300, gamma=0.3)
-        rep = run_survey(cfg)
+        rep = run_survey(SurveyConfig(nmax=300))
         row = next(r for r in rep.rows if r.p == 293)
         lf = littlewood_fib(293, 300, 0.3)
         assert row.l1 == pytest.approx(lf.report.l1, rel=1e-12)
@@ -146,8 +156,9 @@ class TestRunSurvey:
             ms = ResidueMultiset.from_spec(spec, row.p)
             assert row.l2sq == collision_stats(ms).collisions
         row = next(r for r in rep.rows if r.p == 3)
-        assert row.l2sq == 129
-        assert ",129.0," in survey_csv(rep)
+        assert row.l2sq == 129 and isinstance(row.l2sq, int)
+        cells = list(csv.DictReader(survey_csv(rep).splitlines()[1:]))
+        assert [c["l2sq"] for c in cells if c["p"] == "3"] == ["129"]
 
     def test_status_column(self):
         rep = run_survey(SurveyConfig(nmax=50))
@@ -187,12 +198,50 @@ class TestPoolBlasThreads:
         assert capsys.readouterr().err.count("no OpenBLAS found") == 1
 
 
+class FakePool:
+    """A Pool that records its size and maps in this process."""
+
+    sizes = []
+
+    def __init__(self, processes, initializer=None, initargs=()):
+        self.sizes.append(processes)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, func, iterable, chunksize=None):
+        return [func(job) for job in iterable]
+
+
+class TestPoolSize:
+    @pytest.mark.parametrize("workers, nmax, cpus, size", [
+        (64, 10, 64, 4),       # 4 primes
+        (64, 100, 3, 3),       # 3 CPUs
+        (2, 100, 8, 2),
+        (64, 100, None, None),  # no CPU count: serial
+        (64, 2, 8, None),      # one prime: serial
+    ])
+    def test_pool_never_outnumbers_primes_or_cpus(self, workers, nmax, cpus, size,
+                                                  monkeypatch):
+        """min(workers, primes, CPUs) processes start, and none when that
+        is 1; the rows are the serial rows either way."""
+        monkeypatch.setattr(survey_mod, "Pool", FakePool)
+        monkeypatch.setattr(FakePool, "sizes", [])
+        monkeypatch.setattr(survey_mod.os, "cpu_count", lambda: cpus)
+        rep = run_survey(SurveyConfig(nmax=nmax, workers=workers))
+        assert FakePool.sizes == ([] if size is None else [size])
+        assert rep.rows == run_survey(SurveyConfig(nmax=nmax)).rows
+
+
 class TestSerialization:
     def test_csv_shape(self):
         rep = run_survey(SurveyConfig(nmax=100))
         text = survey_csv(rep)
         lines = text.splitlines()
-        assert lines[0] == "# sparsemod-survey-v4"
+        assert lines[0] == "# sparsemod-survey-v5"
         assert lines[1] == ",".join(CSV_COLUMNS)
         assert len(lines) == 2 + len(rep.rows)
         assert text.endswith("\n")
@@ -200,11 +249,10 @@ class TestSerialization:
     def test_json_round_trip(self):
         rep = run_survey(SurveyConfig(nmax=100))
         payload = json.loads(survey_json(rep))
-        assert payload["schema"] == "sparsemod-survey-v4"
+        assert payload["schema"] == "sparsemod-survey-v5"
         assert len(payload["rows"]) == len(rep.rows)
-        assert payload["config"]["nmax"] == 100
-        assert "epsilon" not in payload["config"]
-        assert "workers" not in payload["config"]
+        assert payload["config"] == {"nmax": 100, "sequence": "fibonacci:1..3"}
+        assert all(isinstance(row["l2sq"], int) for row in payload["rows"])
         assert payload["aggregates"] == rep.aggregates
 
     def test_byte_determinism(self, tmp_path):
@@ -507,6 +555,38 @@ class TestCliExitCodes:
         assert main(["survey", "--nmax", "100", "--out", str(out), "--format", "json"]) == 0
         assert "s_max" not in json.loads(out.read_text())["config"]
 
+    @pytest.mark.parametrize("argv", [
+        ["survey", "--nmax", "100", "--gamma", "0.3"],
+        ["survey", "--nmax", "100", "--delta-exp", "0.4"],
+        ["survey", "--nmax", "100", "--vs-delta", "10"],
+        ["waring", "--p", "101", "--delta-exp", "0.4"],
+    ], ids=lambda argv: f"{argv[0]} {argv[-2]}")
+    def test_fixed_parameter_flags_are_gone(self, argv, tmp_path, capsys):
+        """gamma, rho and the value-set tolerance are the paper's constants;
+        the block is set by --sequence and the window factor by --delta."""
+        out = tmp_path / "r.csv"
+        if argv[0] == "survey":
+            argv = argv + ["--out", str(out), "--format", "csv"]
+        assert main(argv) == 1
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("values", ["fib:1..30000", "fib:1..1000000000000"])
+    def test_jcount_refuses_an_oversized_block_before_the_sweep(self, values, capsys,
+                                                                 monkeypatch):
+        """The digit guard on the exact values comes before the sweep: at
+        N = 10^5 a 30000-term block swept for seconds before it was refused,
+        and a 10^12-term block failed to allocate its matrix."""
+        import sparsemod.valueset as valueset
+
+        def no_sweep(*args):
+            raise AssertionError("the block was swept")
+
+        monkeypatch.setattr(valueset, "block_stats", no_sweep)
+        assert main(["jcount", "--values", values, "--nmax", "100000"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("guard exceeded:") and "Traceback" not in err
+
     def test_jcount_oracle(self, capsys):
         code = main(["jcount", "--values", "list:1,2,3", "--nmax", "5",
                      "--oracle"])
@@ -528,7 +608,7 @@ class TestCliExitCodes:
                      "--delta", "5.0"]) == 0
         assert "max_index=354 " in capsys.readouterr().out
         assert main(["waring", "--p", "101", "--nmax", "5000", "--mode", "direct"]) == 0
-        default = math.ceil(delta_of(5000, SurveyConfig.delta_exponent) * math.sqrt(5000))
+        default = math.ceil(delta_of(5000) * math.sqrt(5000))
         assert f"max_index={default} " in capsys.readouterr().out
 
     def test_littlewood_pow_mode(self, capsys):
@@ -563,9 +643,9 @@ class TestCliBadInput:
         assert err.startswith("error:") and "Traceback" not in err
 
     @pytest.mark.parametrize("argv", [
-        ["survey", "--nmax", "100", "--vs-delta", "nan"],
-        ["survey", "--nmax", "100", "--vs-delta", "inf"],
-        ["survey", "--nmax", "100", "--delta-exp", "nan"],
+        ["survey", "--nmax", "1"],
+        ["survey", "--nmax", "100", "--threads", "0"],
+        ["survey", "--nmax", "100", "--sequence", "fib:0..5"],
         ["survey", "--nmax", "100", "--out", "missing_dir/x.csv"],
     ])
     def test_survey_rejects_before_any_row(self, argv, tmp_path, monkeypatch, capsys):

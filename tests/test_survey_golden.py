@@ -20,7 +20,6 @@ from sparsemod.valueset import ResidueMultiset, SequenceSpec
 GOLDEN = Path(__file__).parent / "data" / "survey_3000.csv"
 CONFIG = SurveyConfig(nmax=3000)
 
-# l2sq is an integer count, written as a float ("73.0")
 INT_COLUMNS = ("p", "t_p", "z_p", "legendre5", "waring_s_min", "waring_max_index",
                "l2sq", "energy", "vs_size", "vs_distinct")
 
@@ -96,7 +95,7 @@ def test_survey_matches_the_golden_report(golden, spec):
 def test_plus_one_in_an_integer_column_fails(golden, spec, col):
     row = 1 if col == "t_p" else 0          # p = 2 has no t_p
     value = _cell(golden, row, col)
-    planted = str(int(float(value)) + 1) + (".0" if col == "l2sq" else "")
+    planted = str(int(value) + 1)
     assert survey_mismatches(_replace(golden, row, col, planted), golden, spec)
 
 

@@ -307,6 +307,22 @@ class TestBlockStats:
         with pytest.raises(GuardError):
             block_stats(SequenceSpec.fibonacci(1, 5), [2, PRODUCT_GUARD + 2])
 
+    def test_oversized_block_is_refused_before_the_sweep(self, monkeypatch):
+        """A block longer than SIZE_GUARD is refused before its matrix is
+        allocated: 10^12 terms would ask for terabytes."""
+        def no_rows(*args):
+            raise AssertionError("a block was reduced")
+
+        monkeypatch.setattr(valueset, "_block_rows", no_rows)
+        huge = SequenceSpec.fibonacci(1, 10**12)
+        with pytest.raises(GuardError, match="block of 1000000000000 terms"):
+            block_stats(huge, [7, 11])
+        with pytest.raises(GuardError, match="block of 1000000000000 terms"):
+            value_set_survey(huge, 100, 10.0)
+        monkeypatch.setattr(valueset, "SIZE_GUARD", 5)
+        with pytest.raises(GuardError, match="block of 6 terms"):
+            block_stats(SequenceSpec.explicit((1, 2, 3, 4, 5, 6)), [7])
+
     def test_no_primes(self):
         spec = SequenceSpec.fibonacci(1, 60)
         assert block_stats(spec, []) == ([], [])
