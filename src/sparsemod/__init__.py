@@ -8,15 +8,14 @@ exponential sums, each backed by an independent exact oracle.
 
 from .errors import (ConfigError, ConstructionError, GuardError,
                      InvariantError)
-from .numtheory import (PrimeRecord, fib_lucas_mod, fib_mod, ipow_floor,
+from .numtheory import (PrimeRecord, fib_mod, ipow_floor,
                         is_prime, is_primitive_root, least_primitive_root,
                         legendre, legendre5, lucas_mod, mult_order,
                         order_of_appearance, order_of_appearance_scan,
                         prime_record, sieve_primes)
 from .valueset import (CollisionStats, JTotal, ResidueMultiset, SequenceSpec,
                        collision_stats, digit_magnitude,
-                       fib_even_distinctness, j_total, j_total_pairscan,
-                       value_set_survey)
+                       j_total, j_total_pairscan, value_set_survey)
 from .sumsets import (CoverResult, EpsRepresentation, GlibichukResult,
                       ResidueSet, TernaryReport, WaringEpsParams,
                       WaringRepresentation, glibichuk_check, k_fold_sumset,
@@ -32,13 +31,13 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ConfigError", "ConstructionError", "GuardError", "InvariantError",
-    "PrimeRecord", "fib_lucas_mod", "fib_mod", "ipow_floor", "is_prime",
+    "PrimeRecord", "fib_mod", "ipow_floor", "is_prime",
     "is_primitive_root", "least_primitive_root", "legendre", "legendre5",
     "lucas_mod", "mult_order", "order_of_appearance",
     "order_of_appearance_scan", "prime_record", "sieve_primes",
     "CollisionStats", "JTotal", "ResidueMultiset", "SequenceSpec",
-    "collision_stats", "digit_magnitude", "fib_even_distinctness", "j_total",
-    "j_total_pairscan", "value_set_survey",
+    "collision_stats", "digit_magnitude", "j_total", "j_total_pairscan",
+    "value_set_survey",
     "CoverResult", "EpsRepresentation", "GlibichukResult", "ResidueSet",
     "TernaryReport", "WaringEpsParams", "WaringRepresentation",
     "glibichuk_check", "k_fold_sumset", "product_set",

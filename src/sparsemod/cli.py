@@ -86,15 +86,12 @@ def _build_parser() -> _Parser:
     lw = sub.add_parser("littlewood", help="L1 norms of exponential sums")
     lw.add_argument("--p", type=int, required=True)
     lw.add_argument("--nmax", type=int, required=True)
-    grp = lw.add_mutually_exclusive_group(required=True)
-    grp.add_argument("--gamma", type=float, default=None,
-                     help="Fibonacci block 1..floor(N^gamma)")
-    grp.add_argument("--base", type=int, default=None,
-                     help="powers of a primitive root, block 1..N")
+    lw.add_argument("--base", type=int, default=None,
+                    help="powers of a primitive root, block 1..N (default: "
+                         f"the survey's Fibonacci block 1..floor(N^{float(GAMMA)}))")
 
     od = sub.add_parser("orders", help="how often z(p) and ord_p(2) are large")
     od.add_argument("--nmax", type=int, required=True)
-    od.add_argument("--threshold", type=float, default=0.5)
 
     jc = sub.add_parser("jcount", help="total collision count J(N)")
     jc.add_argument("--values", type=str, required=True,
@@ -162,10 +159,10 @@ def _cmd_waring(args) -> int:
 
 
 def _cmd_littlewood(args) -> int:
-    if args.gamma is not None:
-        res = littlewood_fib(args.p, args.nmax, args.gamma)
+    if args.base is None:
+        res = littlewood_fib(args.p, args.nmax, GAMMA)
         rep = res.report
-        print(f"p={args.p} block=fib:1..{res.seq_len} (gamma={args.gamma})")
+        print(f"p={args.p} block=fib:1..{res.seq_len} (gamma={res.gamma})")
         print(f"L1={rep.l1!r} L2sq={rep.l2sq!r} energy={rep.energy}")
         print(f"L1 / sqrt(len) = {res.ratio!r}")
     else:
@@ -180,7 +177,7 @@ def _cmd_littlewood(args) -> int:
 
 
 def _cmd_orders(args) -> int:
-    rep = orders_survey(args.nmax, args.threshold)
+    rep = orders_survey(args.nmax)
     e = rep.threshold_exponent
     print(f"primes <= {rep.nmax}: {len(rep.rows)}")
     print(f"fraction with z(p) > p^{e}: {rep.z_fraction!r}")

@@ -35,6 +35,9 @@ MODULUS_CAP = 1 << 62
 # Largest p whose residue products (p - 1)^2 stay exact in int64.
 PRODUCT_GUARD = math.isqrt(2**63 - 1)
 
+# Most bits of n^a that ipow_floor (and orders_survey's p^a) will build.
+POWER_BITS = 8_000_000
+
 # Most entries one sweep array holds, 128 KB of int64: the sweeps take
 # their primes in chunks so that no working array grows past it.
 SWEEP_ENTRIES = 1 << 14
@@ -136,12 +139,6 @@ def lucas_mod(n: int, m: int) -> int:
     return (2 * b - a) % m
 
 
-def fib_lucas_mod(n: int, m: int) -> tuple[int, int]:
-    """(F_n mod m, L_n mod m) in O(log n) multiplications."""
-    a, b = fib_pair_mod(n, m)
-    return a, (2 * b - a) % m
-
-
 def fib_pair_array(n, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """fib_pair_mod across an array of moduli: (F_n mod p, F_{n+1} mod p)
     elementwise as int64 arrays, with n an int or an int64 array that
@@ -186,6 +183,8 @@ def _iroot(n: int, r: int) -> int:
         raise ConfigError("iroot needs n >= 0, r >= 1")
     if r == 1 or n in (0, 1):
         return n
+    if n.bit_length() <= r:   # 2 <= n < 2^r
+        return 1
     # start above the root; the iteration then decreases monotonically
     x = 1 << ((n.bit_length() + r - 1) // r + 1)
     while True:
@@ -221,7 +220,7 @@ def ipow_floor(n: int, exponent: Fraction) -> int:
     e = Fraction(exponent)
     if e < 0:
         raise ConfigError("need exponent >= 0")
-    if n.bit_length() * e.numerator > 8_000_000:
+    if n.bit_length() * e.numerator > POWER_BITS:
         raise GuardError(f"exponent {e} too fine-grained for exact flooring")
     return _iroot(n**e.numerator, e.denominator)
 

@@ -35,7 +35,7 @@ from typing import Iterable, Optional, Union
 import numpy as np
 
 from .errors import ConfigError, ConstructionError, GuardError, InvariantError
-from .numtheory import PRODUCT_GUARD, _iroot, exact_fraction, fib_mod, row_blocks
+from .numtheory import PRODUCT_GUARD, exact_fraction, fib_mod, ipow_floor, row_blocks
 from .valueset import _pair_counts, fib_residue_array
 
 # The paper's Waring budget: for almost all p <= N, every residue mod p is
@@ -458,16 +458,15 @@ def waring_eps_verify(p: int, nmax: int, eps: Union[float, str, Fraction],
         raise ConfigError("need 2 <= p <= nmax")
     params = waring_eps_params(eps)
     k = params.k
-    b_cap = _iroot(nmax, k + 2)
-    if b_cap < 1:
-        raise ConstructionError(f"N^(1/(k+2)) < 1 at N={nmax}, k={k}")
-    m_hi = _iroot(nmax**7, k + 2)
-    m_lo = _iroot(nmax**7 >> (k + 2), k + 2)  # floor of the half-range point
+    b_cap = ipow_floor(nmax, Fraction(1, k + 2))
+    m_hi = ipow_floor(nmax, Fraction(7, k + 2))
+    m_lo = m_hi // 2   # floor of N^(7/(k+2)) / 2, the half-range point
     # Keep every expanded index >= 1: m - (2n-1) >= 1 needs m >= 2 b_cap.
     m_start = max(m_lo + 1, 2 * b_cap)
     if m_start > m_hi:
         raise ConstructionError(
             f"Lucas window ({m_lo}, {m_hi}] cannot clear 2*N^(1/(k+2)) = {2 * b_cap}")
+    top_cap = ipow_floor(nmax, params.eps)   # every index must be <= N^eps
 
     def first_index(*window) -> dict[int, int]:   # residue -> least index
         residues, index = _fib_window(p, *window)
@@ -512,11 +511,10 @@ def waring_eps_verify(p: int, nmax: int, eps: Union[float, str, Fraction],
             indices.extend(2 * l for l in z2_tuple)
             if min(indices) < 1:
                 raise InvariantError("expanded index below 1 despite m filter")
-            e = params.eps
             top = max(indices)
-            if top**e.denominator > nmax**e.numerator:
+            if top > top_cap:
                 raise InvariantError(
-                    f"index {top} exceeds N^eps at N={nmax}, eps={e}")
+                    f"index {top} exceeds N^eps at N={nmax}, eps={params.eps}")
             check = sum(fib_mod(i, p) for i in indices) % p
             if check != target:
                 raise InvariantError(

@@ -31,8 +31,8 @@ from multiprocessing import Pool
 from typing import Optional
 
 from .errors import ConfigError, GuardError, InvariantError
-from .numtheory import (PrimeRecord, exact_fraction, ipow_floor, order_table, prime_record,
-                        sieve_primes)
+from .numtheory import (POWER_BITS, PrimeRecord, exact_fraction, ipow_floor, order_table,
+                        prime_record, sieve_primes)
 from .valueset import ResidueMultiset, SequenceSpec, collision_stats
 from .sumsets import WARING_TERMS, waring_fib_direct
 from .expsums import norm_report
@@ -228,13 +228,16 @@ class OrdersReport:
 def orders_survey(nmax: int, threshold_exponent: float = 0.5) -> OrdersReport:
     """How often are z(p) and ord_p(2) large? The rows come from one
     order_table sweep; exact boundary comparisons: z > p^(a/b) is tested
-    as z^b > p^a."""
+    as z^b > p^a, and a threshold whose powers would pass POWER_BITS bits
+    is refused before the sweep."""
     thr = exact_fraction(threshold_exponent)
     if thr < 0:
         raise ConfigError("threshold must be >= 0")
     primes = sieve_primes(nmax)
     if not primes:
         raise ConfigError(f"no primes <= {nmax}")
+    if primes[-1].bit_length() * max(thr.numerator, thr.denominator) > POWER_BITS:
+        raise GuardError(f"threshold {thr} too fine-grained for exact comparison")
     rows = tuple(order_table(primes))
     for rec in rows:
         if isinstance(rec, InvariantError):

@@ -510,20 +510,3 @@ def value_set_survey(spec: SequenceSpec, nmax: int, delta: float) -> ValueSetSur
                  for p, k in zip(primes, distinct))
     return ValueSetSurvey(rows=rows, delta=float(d), fraction=hits / len(rows))
 
-
-def fib_even_distinctness(p: int, lo: int, hi: int) -> bool:
-    """Are the residues F_{2n} mod p pairwise distinct for lo < n <= hi?
-
-    The half-open range matches how the constructive Waring step slices
-    its even-index window.
-    """
-    if p < 2:
-        raise ConfigError("modulus must be >= 2")
-    if not 0 <= lo < hi:
-        raise ConfigError("need 0 <= lo < hi")
-    seen = set()
-    for r in SequenceSpec.fibonacci_even(lo + 1, hi).residues(p):
-        if r in seen:
-            return False
-        seen.add(r)
-    return True

@@ -691,6 +691,30 @@ class TestIpowFloor:
             assert r**e.denominator <= n**e.numerator
             assert (r + 1) ** e.denominator > n**e.numerator
 
+    def test_small_number_root_returns_at_once(self):
+        """floor(n^(1/r)) is 1 for 2 <= n < 2^r, answered from bit lengths:
+        Newton's first step here would build a 1.6e8-bit power."""
+        assert numtheory._iroot(10**17, 8 * 10**7) == 1
+        assert numtheory._iroot(2**57 - 1, 57) == 1
+        assert numtheory._iroot(2**57, 57) == 2
+
+    def test_eps_window_bounds_match_the_root_forms(self):
+        """The eps search's b_cap = floor(N^(1/(k+2))), m_hi =
+        floor(N^(7/(k+2))) and m_lo = m_hi // 2 equal the integer roots of
+        N, N^7 and N^7 / 2^(k+2) over a grid of N and k."""
+        rng = random.Random(2026)
+        grid_n = [2, 3, 4, 5, 127, 128, 129, 3**17, 3**17 - 1, 10**12, 2**40 - 1,
+                  10**17] + [rng.randint(2, 10**18) for _ in range(40)]
+        for k in (15, 16, 17, 19, 24, 31, 39, 79, 159):
+            r = k + 2
+            grid_k = grid_n + [b**r + d for b in (2, 3, 7) for d in (-1, 0, 1)
+                               if b**r + d <= 10**30]
+            for n in grid_k:
+                m_hi = ipow_floor(n, Fraction(7, r))
+                assert ipow_floor(n, Fraction(1, r)) == numtheory._iroot(n, r), (n, k)
+                assert m_hi == numtheory._iroot(n**7, r), (n, k)
+                assert m_hi // 2 == numtheory._iroot(n**7 >> r, r), (n, k)
+
 
 def brute_eps_z(p, nmax, k):
     """Z = the k-fold sumset of {F_{2l} mod p : l <= N^(1/(k+2))}, by set sums."""
@@ -730,6 +754,22 @@ class TestWaringEpsVerify:
     def test_precondition_failure_small_n(self):
         with pytest.raises(ConstructionError):
             waring_eps_verify(97, 10**6, "0.5", 11)
+
+    def test_tiny_eps_fails_construction_at_once(self):
+        """At eps = 10^-7, k + 2 = 8*10^7: every root of N is 1, so the Lucas
+        window cannot clear 2 N^(1/(k+2)) = 2."""
+        with pytest.raises(ConstructionError, match="cannot clear"):
+            waring_eps_verify(101, 1000, "0.0000001", 0)
+
+    def test_fine_grained_eps_is_refused_before_any_window(self, monkeypatch):
+        """N^eps at eps = 4999999/10^7 would take a 1.35e8-bit power of N;
+        ipow_floor refuses it before the first window is built."""
+        def no_window(*args):
+            raise AssertionError("a window was built")
+
+        monkeypatch.setattr(sumsets, "_fib_window", no_window)
+        with pytest.raises(GuardError, match="too fine-grained"):
+            waring_eps_verify(97, 3**17, "0.4999999", 11)
 
     def test_product_guard(self):
         """Above PRODUCT_GUARD the windows' residue products would overflow

@@ -7,6 +7,7 @@ import io
 import itertools
 import json
 import math
+import random
 import shlex
 import subprocess
 import sys
@@ -328,6 +329,18 @@ class TestOrdersSurvey:
         with pytest.raises(ConfigError):
             orders_survey(1, 0.5)
 
+    @pytest.mark.parametrize("nmax, threshold", [(1000, 0.1234567), (1000, 10**6)])
+    def test_fine_grained_threshold_is_refused_before_the_sweep(self, nmax, threshold,
+                                                                 monkeypatch):
+        """p^a for a threshold a/b with bits(p) * max(a, b) above POWER_BITS
+        is refused before order_table runs; unguarded, both ran past 20 s."""
+        def no_sweep(primes):
+            raise AssertionError("order_table ran")
+
+        monkeypatch.setattr(survey_mod, "order_table", no_sweep)
+        with pytest.raises(GuardError, match="too fine-grained"):
+            orders_survey(nmax, threshold)
+
 
 class TestParseSequenceSpec:
     def test_families(self):
@@ -405,13 +418,12 @@ class TestCliExitCodes:
     def test_bad_flag_is_config_error(self, capsys):
         assert main(["survey", "--nmax", "bad", "--out", "x", "--format",
                      "csv"]) == 1
-        assert main(["littlewood", "--p", "11", "--nmax", "5"]) == 1   # no block
+        assert main(["littlewood", "--p", "11", "--nmax", "5"]) == 1   # p > N
         assert main(["nonsense"]) == 1
         assert main(["waring", "--p", "10"]) == 1                      # not prime
 
     def test_guard_exit(self, capsys):
-        code = main(["littlewood", "--p", "1000003", "--nmax", "1000003",
-                     "--gamma", "0.3"])
+        code = main(["littlewood", "--p", "1000003", "--nmax", "1000003"])
         assert code == 2
 
     def test_waring_direct_guard_exit(self, capsys):
@@ -493,8 +505,7 @@ class TestCliExitCodes:
         """A block longer than SIZE_GUARD is refused before any of its terms
         is stepped: littlewood exits 2 on a 10^12-term block, and each
         survey row keeps its orders and Waring cover and marks the guard."""
-        assert main(["littlewood", "--p", "997", "--nmax", str(10**40),
-                     "--gamma", "0.3"]) == 2
+        assert main(["littlewood", "--p", "997", "--nmax", str(10**40)]) == 2
         assert "guard exceeded: block of 1000000000000 terms" in capsys.readouterr().err
         seq = parse_sequence_spec("fib:1..1000000000000")
         rows = run_survey(SurveyConfig(nmax=30, sequence=seq)).rows
@@ -560,10 +571,13 @@ class TestCliExitCodes:
         ["survey", "--nmax", "100", "--delta-exp", "0.4"],
         ["survey", "--nmax", "100", "--vs-delta", "10"],
         ["waring", "--p", "101", "--delta-exp", "0.4"],
+        ["littlewood", "--p", "997", "--nmax", "997", "--gamma", "0.3"],
+        ["orders", "--nmax", "100", "--threshold", "0.5"],
     ], ids=lambda argv: f"{argv[0]} {argv[-2]}")
     def test_fixed_parameter_flags_are_gone(self, argv, tmp_path, capsys):
-        """gamma, rho and the value-set tolerance are the paper's constants;
-        the block is set by --sequence and the window factor by --delta."""
+        """gamma, rho, the value-set tolerance and the orders threshold 1/2
+        are the paper's constants; the survey block is set by --sequence, the
+        window factor by --delta, and littlewood's other block by --base."""
         out = tmp_path / "r.csv"
         if argv[0] == "survey":
             argv = argv + ["--out", str(out), "--format", "csv"]
@@ -610,6 +624,18 @@ class TestCliExitCodes:
         assert main(["waring", "--p", "101", "--nmax", "5000", "--mode", "direct"]) == 0
         default = math.ceil(delta_of(5000) * math.sqrt(5000))
         assert f"max_index={default} " in capsys.readouterr().out
+
+    def test_littlewood_prints_the_survey_norms(self, capsys):
+        """Without --base, littlewood runs the survey's own block
+        fib:1..floor(N^(3/10)): at N = 3000 it prints the l1 repr, l2sq and
+        energy of the survey row for p, at eight seeded primes."""
+        rows = {r.p: r for r in run_survey(SurveyConfig(nmax=3000)).rows}
+        primes = [2, 2999] + random.Random(3000).sample(sieve_primes(2998)[1:], 6)
+        for p in primes:
+            assert main(["littlewood", "--p", str(p), "--nmax", "3000"]) == 0
+            row = rows[p]
+            assert (f"L1={row.l1!r} L2sq={row.l2sq!r} energy={row.energy}\n"
+                    in capsys.readouterr().out), p
 
     def test_littlewood_pow_mode(self, capsys):
         assert main(["littlewood", "--p", "101", "--nmax", "10",
@@ -674,8 +700,6 @@ class TestCliBadInput:
          "--delta", "inf"],
         ["waring", "--p", "101", "--nmax", "5000", "--mode", "direct",
          "--delta", "nan"],
-        ["littlewood", "--p", "997", "--nmax", "997", "--gamma", "nan"],
-        ["orders", "--nmax", "100", "--threshold", "nan"],
     ])
     def test_non_finite_numbers(self, argv, capsys):
         self.assert_config_error(argv, capsys)

@@ -19,10 +19,8 @@ from sparsemod import (
     SequenceSpec,
     collision_stats,
     digit_magnitude,
-    fib_even_distinctness,
     j_total,
     j_total_pairscan,
-    order_of_appearance,
     sieve_primes,
     value_set_survey,
 )
@@ -453,28 +451,3 @@ class TestValueSetSurvey:
     def test_rejects_bad_delta(self):
         with pytest.raises(ConfigError):
             value_set_survey(SequenceSpec.fibonacci(1, 5), 100, 0.0)
-
-
-class TestFibEvenDistinctness:
-    def test_window_below_z(self):
-        assert order_of_appearance(199) == 22
-        assert fib_even_distinctness(199, 2, 10)
-
-    def test_collision_when_window_wraps(self):
-        # F_{2n} mod 11 has period pi(11)=10 in n; a window longer than the
-        # period must repeat
-        assert not fib_even_distinctness(11, 0, 30)
-
-    def test_brute_force_agreement(self):
-        rng = random.Random(17)
-        for _ in range(100):
-            p = rng.choice([q for q in sieve_primes(300) if q > 2])
-            lo = rng.randint(0, 20)
-            hi = lo + rng.randint(1, 25)
-            vals = [SequenceSpec.fibonacci_even(n, n).exact_values()[0] % p
-                    for n in range(lo + 1, hi + 1)]
-            assert fib_even_distinctness(p, lo, hi) == (len(set(vals)) == len(vals))
-
-    def test_rejects_bad_range(self):
-        with pytest.raises(ConfigError):
-            fib_even_distinctness(7, 5, 5)
