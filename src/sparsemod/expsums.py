@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import ConfigError, GuardError, InvariantError
 from .numtheory import exact_fraction, ipow_floor, is_prime, is_primitive_root, row_blocks
-from .valueset import SIZE_GUARD, ResidueMultiset, SequenceSpec, _pair_counts, collision_stats
+from .valueset import ResidueMultiset, SequenceSpec, _pair_counts, collision_stats
 
 P_GUARD = 1_000_000
 
@@ -101,8 +101,6 @@ def _l1_error(ms: ResidueMultiset) -> float:
 def norm_report(ms: ResidueMultiset) -> NormReport:
     """L1 from one baby-step/giant-step product and one pairwise sum; L2sq
     and the energy as exact integer counts."""
-    if ms.total < 1:
-        raise ConfigError("empty multiset")
     _check_guard(ms.p)
     p = ms.p
     l1 = _l1_geometric(ms)
@@ -123,8 +121,6 @@ def norm_report(ms: ResidueMultiset) -> NormReport:
 def l1_full_scan(ms: ResidueMultiset) -> float:
     """L1 by a direct DFT at every a: the oracle for norm_report's
     baby-step/giant-step kernel."""
-    if ms.total < 1:
-        raise ConfigError("empty multiset")
     _check_guard(ms.p)
     p = ms.p
     phases = np.exp((2j * np.pi / p) * np.arange(p))
@@ -136,10 +132,7 @@ def l1_full_scan(ms: ResidueMultiset) -> float:
 
 def additive_energy_direct(ms: ResidueMultiset) -> int:
     """Exact quadruple count by tabulating pairwise-sum multiplicities."""
-    if ms.total < 1:
-        raise ConfigError("empty multiset")
-    if ms.total > SIZE_GUARD:
-        raise GuardError(f"size {ms.total} exceeds the guard {SIZE_GUARD}")
+    _check_guard(ms.p)
     p = ms.p
     res, cnt = ms.support, ms.counts.astype(np.float64)
     conv = np.zeros(p, dtype=np.float64)

@@ -347,9 +347,7 @@ def is_primitive_root(g: int, p: int) -> bool:
     """True iff g generates the full multiplicative group mod the prime p."""
     if not is_prime(p):
         raise ConfigError(f"is_primitive_root requires a prime, got {p}")
-    if g % p == 0:
-        return False
-    return all(pow(g, (p - 1) // q, p) != 1 for q in prime_factors(p - 1))
+    return g % p != 0 and mult_order(g, p) == p - 1
 
 
 def least_primitive_root(p: int) -> int:

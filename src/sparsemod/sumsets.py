@@ -59,13 +59,17 @@ def _pack_residues(residues: np.ndarray, p: int) -> int:
 
 
 class ResidueSet:
-    """A subset of Z/pZ as a p-bit mask inside one Python int."""
+    """A subset of Z/pZ as a p-bit mask inside one Python int.  p is at most
+    PRODUCT_GUARD, so every product of two members is exact in int64; a
+    larger p is refused before its mask is built."""
 
     __slots__ = ("p", "bits")
 
     def __init__(self, p: int, bits: int = 0):
         if p < 2:
             raise ConfigError("modulus must be >= 2")
+        if p > PRODUCT_GUARD:
+            raise GuardError(f"p = {p} exceeds the guard {PRODUCT_GUARD}")
         self.p = p
         self.bits = bits & ((1 << p) - 1)
 
@@ -82,7 +86,7 @@ class ResidueSet:
 
     @classmethod
     def full(cls, p: int) -> "ResidueSet":
-        return cls(p, (1 << p) - 1)
+        return cls(p, -1)   # every bit, masked to p bits after the guard
 
     def __len__(self) -> int:
         return self.bits.bit_count()
@@ -193,8 +197,6 @@ def product_set(a: ResidueSet, b: ResidueSet) -> ResidueSet:
     """{x * y mod p : x in a, y in b}, exact in int64 for p <= PRODUCT_GUARD."""
     if a.p != b.p:
         raise ConfigError("mismatched moduli")
-    if a.p > PRODUCT_GUARD:
-        raise GuardError(f"p = {a.p} exceeds the guard {PRODUCT_GUARD}")
     counts = _pair_counts(a.members(), b.members(), a.p, np.multiply)
     return ResidueSet(a.p, _pack_residues(np.flatnonzero(counts), a.p))
 
@@ -315,8 +317,6 @@ def waring_constructive(p: int, nmax: int, delta: float, lam: int) -> WaringRepr
         raise ConfigError("need 2 <= p <= nmax")
     if not (delta > 0 and math.isfinite(delta)):
         raise ConfigError(f"delta must be positive and finite, got {delta}")
-    if p > PRODUCT_GUARD:
-        raise GuardError(f"p = {p} exceeds the guard {PRODUCT_GUARD}")
     root = math.sqrt(nmax)
     n_lo = math.floor(delta * root / 10)
     n_hi = math.floor(delta * root / 5)

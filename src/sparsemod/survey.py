@@ -141,8 +141,6 @@ def _survey_row(args: tuple[int, SequenceSpec, int]) -> SurveyRow:
 
 def _aggregate(rows: tuple[SurveyRow, ...]) -> dict:
     n = len(rows)
-    if n == 0:
-        return {"rows": 0}
     vs_ok = [(r.vs_size - r.vs_distinct) * VS_DELTA <= r.vs_size
              for r in rows if r.vs_size]
     waring16 = [r.waring_s_min is not None for r in rows]

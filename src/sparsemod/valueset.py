@@ -42,7 +42,8 @@ FAMILIES = ("fibonacci", "lucas", "fibonacci-even", "power", "explicit")
 # About 5000 decimal digits; F_n has roughly 0.209 n digits.
 DIGIT_GUARD = 5000
 
-# Longest index block a residue multiset is built from, one term at a time.
+# Longest index block a SequenceSpec accepts: every consumer steps or
+# allocates per term, so the spec refuses a longer block when it is built.
 SIZE_GUARD = 100_000
 
 # Explicit values are reduced by Horner's rule on 31-bit limbs: a residue
@@ -72,6 +73,8 @@ class SequenceSpec:
             raise ConfigError("need 1 <= index_lo <= index_hi")
         if self.index_hi > INDEX_CAP:
             raise ConfigError("index_hi above 2^62")
+        if len(self) > SIZE_GUARD:
+            raise GuardError(f"block of {len(self)} terms exceeds the guard {SIZE_GUARD}")
         if self.family == "power":
             if self.base is None or self.base < 2:
                 raise ConfigError("power family needs a base >= 2")
@@ -188,13 +191,6 @@ class SequenceSpec:
             return [fib[2 * n] for n in range(lo, hi + 1)]
         # Lucas: L_n = F_{n-1} + F_{n+1}
         return [fib[n - 1] + fib[n + 1] for n in range(lo, hi + 1)]
-
-
-def check_block(spec: SequenceSpec) -> None:
-    """Refuse a block of more than SIZE_GUARD terms, before anything is
-    allocated for it."""
-    if len(spec) > SIZE_GUARD:
-        raise GuardError(f"block of {len(spec)} terms exceeds the guard {SIZE_GUARD}")
 
 
 def fib_residue_array(lo: int, hi: int, p: int) -> np.ndarray:
@@ -323,11 +319,10 @@ def block_stats(spec: SequenceSpec, primes: Sequence[int]) -> tuple[list[int], l
     The block is reduced mod a chunk of about SWEEP_ENTRIES / |block| primes
     at once, one row per prime; each row is sorted, and a row's collisions
     are the sum of its squared run lengths and its distinct count the
-    number of runs.  A block longer than SIZE_GUARD is refused (check_block),
-    and so are primes above PRODUCT_GUARD, as a residue product could
-    overflow int64.
+    number of runs.  The spec holds at most SIZE_GUARD terms, and primes
+    above PRODUCT_GUARD are refused, as a residue product could overflow
+    int64.
     """
-    check_block(spec)
     if primes and max(primes) > PRODUCT_GUARD:
         raise GuardError(f"p = {max(primes)} exceeds the guard {PRODUCT_GUARD}")
     limbs = None
@@ -364,14 +359,15 @@ class ResidueMultiset:
 
     @classmethod
     def from_spec(cls, spec: SequenceSpec, p: int) -> "ResidueMultiset":
-        check_block(spec)
         return cls.from_counts(p, Counter(spec.residues(p)))
 
     @classmethod
     def from_counts(cls, p: int, counts: Mapping[int, int]) -> "ResidueMultiset":
         if not 2 <= p <= MODULUS_CAP:      # so every residue fits in int64
             raise ConfigError(f"modulus {p} outside [2, 2^62]")
-        if counts and not (0 <= min(counts) and max(counts) < p and min(counts.values()) >= 1):
+        if not counts:
+            raise ConfigError("empty multiset")
+        if not (0 <= min(counts) and max(counts) < p and min(counts.values()) >= 1):
             raise ConfigError("counts must map residues in [0,p) to c >= 1")
         total = sum(counts.values())
         if total > SIZE_GUARD:

@@ -243,11 +243,13 @@ class TestNormReport:
         assert ms.total == SIZE_GUARD
         assert norm_report(ms).energy == additive_energy_direct(ms)
 
-    def test_energy_guard(self, monkeypatch):
-        monkeypatch.setattr(expsums, "SIZE_GUARD", 2)
-        big = ResidueMultiset.from_counts(3, {0: 1, 1: 1, 2: 1})
-        with pytest.raises(GuardError):
-            additive_energy_direct(big)
+    def test_energy_direct_modulus_guard(self):
+        """The brute-force energy fills a length-p table, so like norm_report
+        and l1_full_scan it refuses p above P_GUARD."""
+        ms = ResidueMultiset.from_counts(expsums.P_GUARD + 3, {0: 1, 5: 2})
+        for kernel in (norm_report, l1_full_scan, additive_energy_direct):
+            with pytest.raises(GuardError, match="exceeds the guard 1000000"):
+                kernel(ms)
 
 
 class TestLittlewoodFib:

@@ -273,6 +273,15 @@ class TestPrimitiveRoots:
         assert is_primitive_root(2, 11)
         assert not is_primitive_root(3, 11)
         assert not is_primitive_root(1, 3)
+        assert least_primitive_root(999983) == 5
+
+    def test_against_the_scan_oracle(self):
+        """g is a primitive root exactly when it is invertible and its
+        linear-scan order is p - 1."""
+        for p in sieve_primes(400):
+            for g in range(p + 3):
+                assert is_primitive_root(g, p) == (
+                    g % p != 0 and mult_order_scan(g, p) == p - 1), (g, p)
 
     def test_order_is_p_minus_1(self):
         for p in sieve_primes(500):

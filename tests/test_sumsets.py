@@ -128,6 +128,21 @@ class TestResidueSet:
             assert got == [x for x in range(s.p) if x in s]
             assert all(type(x) is int for x in got)
 
+    def test_modulus_guard_before_the_mask(self):
+        """A set mod p > PRODUCT_GUARD is refused before its p-bit mask (about
+        380 MB here) is built."""
+        p = sumsets.PRODUCT_GUARD + 2
+        tracemalloc.start()
+        try:
+            for build in (ResidueSet, ResidueSet.full,
+                          lambda p: ResidueSet.from_iterable(p, [1])):
+                with pytest.raises(GuardError, match=f"p = {p} exceeds the guard"):
+                    build(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10**6
+
     def test_inputs_reduced_mod_p(self):
         assert sorted(ResidueSet.from_iterable(5, [5])) == [0]
         assert sorted(ResidueSet.from_iterable(5, [-1, 12])) == [2, 4]
@@ -648,6 +663,16 @@ class TestTernaryCount:
         monkeypatch.setattr(sumsets, "TUPLE_GUARD", 10**6)
         full = ResidueSet.full(101)
         with pytest.raises(GuardError):
+            ternary_count(full, full, full, 0)
+
+    def test_modulus_guard(self, monkeypatch):
+        """Above PRODUCT_GUARD the x*y products would overflow int64; the
+        sets themselves cannot be built there."""
+        monkeypatch.setattr(sumsets, "PRODUCT_GUARD", 6)
+        assert ternary_count(ResidueSet.full(5), ResidueSet.full(5),
+                             ResidueSet.full(5), 0).count == 125
+        with pytest.raises(GuardError, match="p = 7 exceeds the guard 6"):
+            full = ResidueSet.full(7)
             ternary_count(full, full, full, 0)
 
 

@@ -468,6 +468,26 @@ class TestCliExitCodes:
         assert sum(r["status"].startswith("invariant:") for r in rows.values()) == 1
         assert "invariant failed" in capsys.readouterr().err
 
+    def test_survey_headline_below_threshold_exits_3_after_report(self, tmp_path,
+                                                                   capsys, monkeypatch):
+        """At N >= 10^4 a headline fraction below PASS_THRESHOLD exits 3, and
+        the report is still written."""
+        monkeypatch.setattr(survey_mod, "PASS_THRESHOLD", 1.5)
+        out = tmp_path / "r.csv"
+        assert main(["survey", "--nmax", "10000", "--out", str(out), "--format", "csv"]) == 3
+        assert len(out.read_text().splitlines()) == 2 + len(sieve_primes(10000))
+        assert "headline fractions below threshold" in capsys.readouterr().err
+
+    def test_jcount_oracle_mismatch_exits_3(self, capsys, monkeypatch):
+        import sparsemod.cli as cli_mod
+
+        real = cli_mod.j_total_pairscan
+        monkeypatch.setattr(cli_mod, "j_total_pairscan", lambda vals, n: real(vals, n) + 2)
+        assert main(["jcount", "--values", "fib:1..40", "--nmax", "1000", "--oracle"]) == 3
+        captured = capsys.readouterr()
+        assert "pairscan oracle" in captured.out
+        assert "oracle mismatch" in captured.err
+
     def test_survey_orders_failure_keeps_report(self, tmp_path, capsys, monkeypatch):
         import sparsemod.numtheory as nt
 
@@ -502,22 +522,19 @@ class TestCliExitCodes:
         assert all(r.status in ("ok", "partial:t_p") for p, r in rows.items() if p != 13)
 
     def test_oversized_block_is_refused_at_once(self, capsys):
-        """A block longer than SIZE_GUARD is refused before any of its terms
-        is stepped: littlewood exits 2 on a 10^12-term block, and each
-        survey row keeps its orders and Waring cover and marks the guard."""
+        """A block longer than SIZE_GUARD is refused when its spec is built,
+        before any of its terms is stepped: littlewood exits 2 on a
+        10^12-term block, and no survey config can hold one."""
         assert main(["littlewood", "--p", "997", "--nmax", str(10**40)]) == 2
         assert "guard exceeded: block of 1000000000000 terms" in capsys.readouterr().err
-        seq = parse_sequence_spec("fib:1..1000000000000")
-        rows = run_survey(SurveyConfig(nmax=30, sequence=seq)).rows
-        assert len(rows) == len(sieve_primes(30))
-        for r in rows:
-            assert r.status.startswith("guard:block of 1000000000000 terms")
-            assert r.z_p == order_of_appearance(r.p) and r.waring_s_min is not None
-            assert r.vs_size is r.l1 is r.energy is None
+        with pytest.raises(GuardError, match="block of 1000000000000 terms"):
+            parse_sequence_spec("fib:1..1000000000000")
+        with pytest.raises(GuardError, match="block of 1000000000000 terms"):
+            run_survey(SurveyConfig(nmax=10**40))
 
     def test_survey_oversized_block_exits_2(self, tmp_path, capsys):
-        """Every row would carry the same guard, so the survey is refused
-        before it starts and writes no report."""
+        """The block is refused when --sequence is parsed, before any row,
+        and no report is written."""
         out = tmp_path / "r.csv"
         assert main(["survey", "--nmax", "30", "--sequence", "fib:1..1000000000000",
                      "--format", "csv", "--out", str(out)]) == 2
@@ -588,9 +605,10 @@ class TestCliExitCodes:
     @pytest.mark.parametrize("values", ["fib:1..30000", "fib:1..1000000000000"])
     def test_jcount_refuses_an_oversized_block_before_the_sweep(self, values, capsys,
                                                                  monkeypatch):
-        """The digit guard on the exact values comes before the sweep: at
-        N = 10^5 a 30000-term block swept for seconds before it was refused,
-        and a 10^12-term block failed to allocate its matrix."""
+        """Both guards come before the sweep: the digit guard on the exact
+        values refuses a 30000-term block, which at N = 10^5 swept for seconds
+        first, and the spec's block guard a 10^12-term block, which failed to
+        allocate its matrix."""
         import sparsemod.valueset as valueset
 
         def no_sweep(*args):

@@ -124,6 +124,20 @@ class TestSequenceSpec:
         with pytest.raises(ConfigError):
             SequenceSpec.explicit((5, 2))     # must increase
 
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_size_guard_at_construction(self, family):
+        """Every family refuses a block of SIZE_GUARD + 1 terms when the spec
+        is built, and builds one of exactly SIZE_GUARD terms."""
+        def spec(length):
+            if family == "explicit":
+                return SequenceSpec.explicit(range(1, length + 1))
+            base = 3 if family == "power" else None
+            return SequenceSpec(family, 5, 4 + length, base=base)
+
+        assert len(spec(valueset.SIZE_GUARD)) == valueset.SIZE_GUARD == 100_000
+        with pytest.raises(GuardError, match="block of 100001 terms exceeds the guard 100000"):
+            spec(valueset.SIZE_GUARD + 1)
+
     def test_labels_distinct(self):
         labels = {
             SequenceSpec.fibonacci(1, 9).label(),
@@ -202,6 +216,8 @@ class TestResidueMultiset:
             ResidueMultiset.from_counts(7, {9: 1})   # residue out of range
         with pytest.raises(ConfigError):
             ResidueMultiset.from_counts(7, {2: 0})   # dead entry
+        with pytest.raises(ConfigError, match="empty multiset"):
+            ResidueMultiset.from_counts(7, {})
 
     def test_modulus_cap(self):
         """Residues are int64, so a modulus above MODULUS_CAP = 2^62 is
@@ -312,11 +328,10 @@ class TestBlockStats:
             raise AssertionError("a block was reduced")
 
         monkeypatch.setattr(valueset, "_block_rows", no_rows)
-        huge = SequenceSpec.fibonacci(1, 10**12)
         with pytest.raises(GuardError, match="block of 1000000000000 terms"):
-            block_stats(huge, [7, 11])
+            block_stats(SequenceSpec.fibonacci(1, 10**12), [7, 11])
         with pytest.raises(GuardError, match="block of 1000000000000 terms"):
-            value_set_survey(huge, 100, 10.0)
+            value_set_survey(SequenceSpec.fibonacci(1, 10**12), 100, 10.0)
         monkeypatch.setattr(valueset, "SIZE_GUARD", 5)
         with pytest.raises(GuardError, match="block of 6 terms"):
             block_stats(SequenceSpec.explicit((1, 2, 3, 4, 5, 6)), [7])
