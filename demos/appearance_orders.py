@@ -40,10 +40,14 @@ def main():
     print("\n== fractions with z(p) > p^e and ord_p(2) > p^e ==")
     print("    N      e     z-fraction   t-fraction   primes")
     for nmax in (10**3, 10**4, 10**5):
-        for e in (0.5, 0.6):
-            rep = orders_survey(nmax, e)
-            print(f"  {nmax:6d}  {e:.1f}   {rep.z_fraction:10.4f} "
-                  f"  {rep.t_fraction:10.4f}   {len(rep.rows)}")
+        rep = orders_survey(nmax)
+        t_rows = [r for r in rep.rows if r.t_p is not None]
+        # z > p^0.6 exactly: z^5 > p^3
+        z6 = sum(r.z_p**5 > r.p**3 for r in rep.rows) / len(rep.rows)
+        t6 = sum(r.t_p**5 > r.p**3 for r in t_rows) / len(t_rows)
+        for e, z, t in ((0.5, rep.z_fraction, rep.t_fraction), (0.6, z6, t6)):
+            print(f"  {nmax:6d}  {e:.1f}   {z:10.4f} "
+                  f"  {t:10.4f}   {len(rep.rows)}")
 
 
 if __name__ == "__main__":

@@ -176,10 +176,9 @@ def _cmd_littlewood(args) -> int:
 
 def _cmd_orders(args) -> int:
     rep = orders_survey(args.nmax)
-    e = rep.threshold_exponent
     print(f"primes <= {rep.nmax}: {len(rep.rows)}")
-    print(f"fraction with z(p) > p^{e}: {rep.z_fraction!r}")
-    print(f"fraction with ord_p(2) > p^{e}: {rep.t_fraction!r} "
+    print(f"fraction with z(p) > p^0.5: {rep.z_fraction!r}")
+    print(f"fraction with ord_p(2) > p^0.5: {rep.t_fraction!r} "
           "(p = 2 excluded)")
     return 0
 

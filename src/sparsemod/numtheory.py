@@ -35,7 +35,7 @@ MODULUS_CAP = 1 << 62
 # Largest p whose residue products (p - 1)^2 stay exact in int64.
 PRODUCT_GUARD = math.isqrt(2**63 - 1)
 
-# Most bits of n^a that ipow_floor (and orders_survey's p^a) will build.
+# Most bits of n^a that ipow_floor will build.
 POWER_BITS = 8_000_000
 
 # Most entries one sweep array holds, 128 KB of int64: the sweeps take

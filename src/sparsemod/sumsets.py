@@ -42,7 +42,8 @@ from .valueset import _pair_counts, fib_residue_array
 # a sum of 16 Fibonacci numbers with index <= delta(N) sqrt(N).
 WARING_TERMS = 16
 
-# Largest |X||Y||Z|^2 ternary_count will enumerate.
+# Largest |X||Y||Z|^2 ternary_count accepts: it bounds the |X||Y| and |Z|^2
+# pairs that its two pair-count tables tally.
 TUPLE_GUARD = 10**9
 
 # Generators a fold shifts in between two checks of its union against the

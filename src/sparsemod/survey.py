@@ -31,8 +31,7 @@ from multiprocessing import Pool
 from typing import Optional
 
 from .errors import ConfigError, GuardError, InvariantError
-from .numtheory import (POWER_BITS, PrimeRecord, exact_fraction, ipow_floor, order_table,
-                        prime_record, sieve_primes)
+from .numtheory import PrimeRecord, ipow_floor, order_table, prime_record, sieve_primes
 from .valueset import ResidueMultiset, SequenceSpec, collision_stats
 from .sumsets import WARING_TERMS, waring_fib_direct
 from .expsums import norm_report
@@ -217,38 +216,26 @@ def run_survey(config: SurveyConfig) -> SurveyReport:
 @dataclass(frozen=True)
 class OrdersReport:
     nmax: int
-    threshold_exponent: float
     rows: tuple[PrimeRecord, ...]
-    z_fraction: float          # share of primes with z(p) > p^threshold
+    z_fraction: float          # share of primes with z(p) > p^(1/2)
     t_fraction: Optional[float]  # same for ord_p(2); p = 2 excluded
 
 
-def orders_survey(nmax: int, threshold_exponent: float = 0.5) -> OrdersReport:
-    """How often are z(p) and ord_p(2) large? The rows come from one
-    order_table sweep; exact boundary comparisons: z > p^(a/b) is tested
-    as z^b > p^a, and a threshold whose powers would pass POWER_BITS bits
-    is refused before the sweep."""
-    thr = exact_fraction(threshold_exponent)
-    if thr < 0:
-        raise ConfigError("threshold must be >= 0")
+def orders_survey(nmax: int) -> OrdersReport:
+    """How often are z(p) and ord_p(2) above p^(1/2)? The rows come from
+    one order_table sweep; the boundary is exact, z > p^(1/2) being z^2 > p."""
     primes = sieve_primes(nmax)
     if not primes:
         raise ConfigError(f"no primes <= {nmax}")
-    if primes[-1].bit_length() * max(thr.numerator, thr.denominator) > POWER_BITS:
-        raise GuardError(f"threshold {thr} too fine-grained for exact comparison")
     rows = tuple(order_table(primes))
     for rec in rows:
         if isinstance(rec, InvariantError):
             raise rec
-
-    def large(order: int, p: int) -> bool:
-        return order**thr.denominator > p**thr.numerator
-
     t_rows = [r for r in rows if r.t_p is not None]
     return OrdersReport(
-        nmax=nmax, threshold_exponent=float(thr), rows=rows,
-        z_fraction=sum(large(r.z_p, r.p) for r in rows) / len(rows),
-        t_fraction=(sum(large(r.t_p, r.p) for r in t_rows) / len(t_rows)
+        nmax=nmax, rows=rows,
+        z_fraction=sum(r.z_p**2 > r.p for r in rows) / len(rows),
+        t_fraction=(sum(r.t_p**2 > r.p for r in t_rows) / len(t_rows)
                     if t_rows else None))
 
 

@@ -29,7 +29,7 @@ once and read as they are by collision_stats and every norm kernel.
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -71,8 +71,8 @@ class SequenceSpec:
             raise ConfigError(f"unknown family {self.family!r}")
         if not 1 <= self.index_lo <= self.index_hi:
             raise ConfigError("need 1 <= index_lo <= index_hi")
-        if self.index_hi > INDEX_CAP:
-            raise ConfigError("index_hi above 2^62")
+        if self.index_hi * (2 if self.family == "fibonacci-even" else 1) > INDEX_CAP:
+            raise ConfigError("sequence index above 2^62")
         if len(self) > SIZE_GUARD:
             raise GuardError(f"block of {len(self)} terms exceeds the guard {SIZE_GUARD}")
         if self.family == "power":
@@ -110,8 +110,9 @@ class SequenceSpec:
         return cls("power", lo, hi, base=base)
 
     @classmethod
-    def explicit(cls, values: Sequence[int]) -> "SequenceSpec":
-        return cls("explicit", 1, len(tuple(values)), values=tuple(values))
+    def explicit(cls, values: Iterable[int]) -> "SequenceSpec":
+        values = tuple(values)
+        return cls("explicit", 1, len(values), values=values)
 
     def __len__(self) -> int:
         return self.index_hi - self.index_lo + 1

@@ -257,7 +257,7 @@ def test_c09_l1_ratio_statistics(big_survey):
 def test_c10_orders_survey():
     """z(p) is large for well over half the primes; scan oracle agrees."""
     t0 = time.time()
-    rep = orders_survey(100_000, 0.5)
+    rep = orders_survey(100_000)
     assert rep.z_fraction > 0.5, rep.z_fraction
     for p in sieve_primes(10_000):
         assert order_of_appearance(p) == order_of_appearance_scan(p), p

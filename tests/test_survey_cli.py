@@ -295,16 +295,19 @@ class TestSerialization:
 
 class TestOrdersSurvey:
     def test_small_brute_force(self):
-        rep = orders_survey(50, 0.5)
+        rep = orders_survey(50)
         by_p = {row.p: row for row in rep.rows}
         assert by_p[2].t_p is None
         for p in sieve_primes(50):
             assert by_p[p].z_p == order_of_appearance(p)
             if p > 2:
                 assert by_p[p].t_p == mult_order(2, p)
-        # recompute the fractions: z_p > sqrt(p), exact comparison
-        zf = sum(1 for row in rep.rows if row.z_p**2 > row.p) / len(rep.rows)
-        assert rep.z_fraction == pytest.approx(zf)
+        # recompute the fractions from the oracles: z > sqrt(p) iff z^2 > p
+        primes = sieve_primes(50)
+        zf = sum(order_of_appearance(p)**2 > p for p in primes) / len(primes)
+        tf = sum(mult_order(2, p)**2 > p for p in primes[1:]) / len(primes[1:])
+        assert rep.z_fraction == zf
+        assert rep.t_fraction == tf
 
     def test_rows_are_prime_records(self):
         assert list(orders_survey(500).rows) == [prime_record(p) for p in sieve_primes(500)]
@@ -320,26 +323,9 @@ class TestOrdersSurvey:
         assert len(orders_survey(2000).rows) == 303
         assert calls == []
 
-    def test_threshold_zero_counts_everything(self):
-        rep = orders_survey(100, 0.0)
-        assert rep.z_fraction == 1.0    # z(p) >= 1 > p^0 is false... z > 1 holds
-        assert rep.t_fraction == 1.0
-
     def test_rejects_tiny_bound(self):
         with pytest.raises(ConfigError):
-            orders_survey(1, 0.5)
-
-    @pytest.mark.parametrize("nmax, threshold", [(1000, 0.1234567), (1000, 10**6)])
-    def test_fine_grained_threshold_is_refused_before_the_sweep(self, nmax, threshold,
-                                                                 monkeypatch):
-        """p^a for a threshold a/b with bits(p) * max(a, b) above POWER_BITS
-        is refused before order_table runs; unguarded, both ran past 20 s."""
-        def no_sweep(primes):
-            raise AssertionError("order_table ran")
-
-        monkeypatch.setattr(survey_mod, "order_table", no_sweep)
-        with pytest.raises(GuardError, match="too fine-grained"):
-            orders_survey(nmax, threshold)
+            orders_survey(1)
 
 
 class TestParseSequenceSpec:
@@ -384,7 +370,8 @@ def golden_runs(path):
     ids=lambda v: " ".join(v) if isinstance(v, list) else "")
 def test_waring_golden_output(argv, want, capsys):
     """waring prints the recorded bytes in all three modes: the README
-    examples and windows far longer than one Pisano period."""
+    examples, windows far longer than one Pisano period, and a direct
+    window too short to cover F_p."""
     assert main(argv) == 0
     assert capsys.readouterr().out == want
 
@@ -540,6 +527,25 @@ class TestCliExitCodes:
                      "--format", "csv", "--out", str(out)]) == 2
         assert "guard exceeded: block of 1000000000000 terms" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_even_index_past_the_cap_exits_1_when_parsed(self, tmp_path, capsys):
+        """fib2:LO..HI seeds F_{2 LO}, so HI above 2^61 is refused when the
+        spec is parsed: survey writes no report and jcount sweeps nothing."""
+        spec = "fib2:2305843009213693953..2305843009213693955"
+        out = tmp_path / "r.csv"
+        assert main(["survey", "--nmax", "30", "--sequence", spec,
+                     "--format", "csv", "--out", str(out)]) == 1
+        assert not out.exists()
+        assert main(["jcount", "--values", spec, "--nmax", "100"]) == 1
+        assert capsys.readouterr().err.count("sequence index above 2^62") == 2
+
+    def test_survey_labels_a_long_explicit_list(self, tmp_path):
+        """A list of more than eight values is labelled by its length."""
+        out = tmp_path / "r.json"
+        assert main(["survey", "--nmax", "50", "--sequence", "list:1,2,3,4,5,6,7,8,9",
+                     "--format", "json", "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["config"] == {
+            "nmax": 50, "sequence": "explicit[9]:1..9"}
 
     def test_sweeps_refuse_n_above_the_product_guard_at_once(self, tmp_path, capsys,
                                                               monkeypatch):

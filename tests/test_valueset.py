@@ -123,6 +123,14 @@ class TestSequenceSpec:
             SequenceSpec.explicit((3, 3))     # duplicates rejected
         with pytest.raises(ConfigError):
             SequenceSpec.explicit((5, 2))     # must increase
+        with pytest.raises(ConfigError):
+            SequenceSpec.fibonacci_even(INDEX_CAP // 2, INDEX_CAP // 2 + 1)   # 2n > 2^62
+        assert len(SequenceSpec.fibonacci_even(INDEX_CAP // 2 - 1, INDEX_CAP // 2)) == 2
+
+    def test_explicit_takes_a_one_shot_iterable(self):
+        spec = SequenceSpec.explicit(v for v in (1, 8, 15))
+        assert spec == SequenceSpec.explicit((1, 8, 15))
+        assert spec.values == (1, 8, 15) and len(spec) == 3
 
     @pytest.mark.parametrize("family", FAMILIES)
     def test_size_guard_at_construction(self, family):
@@ -311,11 +319,10 @@ class TestBlockStats:
             assert block_stats(spec, primes) == want
 
     def test_even_index_seed_is_checked_like_the_scalar_path(self):
-        spec = SequenceSpec.fibonacci_even(INDEX_CAP // 2 + 1, INDEX_CAP // 2 + 3)
-        with pytest.raises(ConfigError, match="outside"):
-            list(spec.residues(7))
-        with pytest.raises(ConfigError, match="outside"):
-            block_stats(spec, [7])
+        """F_{2n} past F_{2^62} is refused when the spec is built, before
+        residues or block_stats could seed it."""
+        with pytest.raises(ConfigError, match="above 2\\^62"):
+            SequenceSpec.fibonacci_even(INDEX_CAP // 2 + 1, INDEX_CAP // 2 + 3)
 
     def test_guard(self):
         with pytest.raises(GuardError):
